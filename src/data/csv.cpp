@@ -1,5 +1,7 @@
 #include "data/csv.hpp"
 
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -131,6 +133,36 @@ void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows) {
   PEACHY_CHECK(out.is_open(), "cannot open csv file for writing: " + path);
   write_csv(out, rows);
   PEACHY_CHECK(out.good(), "i/o error writing csv file: " + path);
+}
+
+namespace {
+
+// std::stoll and std::stod are these same strtoll/strtod calls plus throws
+// on "nothing parsed" and ERANGE; checking those conditions here keeps the
+// accepted set identical without the exception cost.
+template <class T, class Strto>
+bool parse_whole(const std::string& field, T& out, Strto strto) noexcept {
+  const char* begin = field.c_str();
+  char* end = nullptr;
+  const int saved = errno;
+  errno = 0;
+  const T v = strto(begin, &end);
+  const bool ok = end != begin && errno != ERANGE && end == begin + field.size();
+  errno = saved;
+  if (ok) out = v;
+  return ok;
+}
+
+}  // namespace
+
+bool parse_int(const std::string& field, std::int64_t& out) noexcept {
+  static_assert(sizeof(long long) == sizeof(std::int64_t));
+  return parse_whole(field, out,
+                     [](const char* s, char** end) { return std::strtoll(s, end, 10); });
+}
+
+bool parse_double(const std::string& field, double& out) noexcept {
+  return parse_whole(field, out, [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 }  // namespace peachy::data

@@ -8,6 +8,7 @@
 /// handles quoted fields, embedded commas/newlines/quotes, and optional
 /// headers, and reports the line number of any malformed record.
 
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -38,5 +39,18 @@ void write_csv(std::ostream& out, const std::vector<CsvRow>& rows);
 
 /// Serialize to a file.  Throws peachy::Error on I/O failure.
 void write_csv_file(const std::string& path, const std::vector<CsvRow>& rows);
+
+/// Parse a whole field as a base-10 int64.  Accepts what std::stoll accepts
+/// (leading whitespace, a sign) provided the number consumes the rest of
+/// the field; rejects empty fields, trailing text and out-of-range values.
+/// Writes `out` only on success and never throws.
+[[nodiscard]] bool parse_int(const std::string& field, std::int64_t& out) noexcept;
+
+/// Parse a whole field as a double.  Accepts what std::stod accepts
+/// (leading whitespace, a sign, hex floats, inf/nan) provided the number
+/// consumes the rest of the field; rejects empty fields, trailing text and
+/// values that overflow or underflow (ERANGE).  Writes `out` only on
+/// success and never throws.
+[[nodiscard]] bool parse_double(const std::string& field, double& out) noexcept;
 
 }  // namespace peachy::data

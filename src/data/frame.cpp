@@ -269,26 +269,18 @@ std::vector<CsvRow> Frame::to_csv() const {
 
 namespace {
 
-bool parse_int(const std::string& s, std::int64_t& out) {
-  if (s.empty()) return false;
-  std::size_t used = 0;
-  try {
-    out = std::stoll(s, &used);
-  } catch (const std::exception&) {
-    return false;
+// Parse column `c` of every data row with `parse` into `col`; stops at the
+// first cell that does not parse and reports whether all of them did.
+template <class T, class Parse>
+bool parse_column(const std::vector<CsvRow>& rows, std::size_t c, Parse parse,
+                  std::vector<Value>& col) {
+  col.clear();
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    T v;
+    if (!parse(rows[r][c], v)) return false;
+    col.emplace_back(v);
   }
-  return used == s.size();
-}
-
-bool parse_double(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  std::size_t used = 0;
-  try {
-    out = std::stod(s, &used);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return used == s.size();
+  return true;
 }
 
 }  // namespace
@@ -298,48 +290,31 @@ Frame Frame::from_csv(const std::vector<CsvRow>& rows) {
   const CsvRow& header = rows.front();
   const std::size_t ncols = header.size();
   PEACHY_CHECK(ncols > 0, "frame from_csv: empty header");
-
-  // Infer each column's type from the data rows.
-  std::vector<ColType> types(ncols, ColType::kInt);
-  for (std::size_t c = 0; c < ncols; ++c) {
-    bool all_int = true, all_num = true;
-    for (std::size_t r = 1; r < rows.size(); ++r) {
-      PEACHY_CHECK(rows[r].size() == ncols,
-                   "frame from_csv: row " + std::to_string(r + 1) + " is ragged");
-      std::int64_t i;
-      double d;
-      if (!parse_int(rows[r][c], i)) all_int = false;
-      if (!parse_double(rows[r][c], d)) all_num = false;
-    }
-    types[c] = all_int ? ColType::kInt : (all_num ? ColType::kDouble : ColType::kString);
-    if (rows.size() == 1) types[c] = ColType::kString;  // no data: default to string
-  }
-
-  Frame out{header, types};
   for (std::size_t r = 1; r < rows.size(); ++r) {
-    std::vector<Value> row;
-    row.reserve(ncols);
-    for (std::size_t c = 0; c < ncols; ++c) {
-      switch (types[c]) {
-        case ColType::kInt: {
-          std::int64_t i = 0;
-          parse_int(rows[r][c], i);
-          row.emplace_back(i);
-          break;
-        }
-        case ColType::kDouble: {
-          double d = 0;
-          parse_double(rows[r][c], d);
-          row.emplace_back(d);
-          break;
-        }
-        case ColType::kString:
-          row.emplace_back(rows[r][c]);
-          break;
-      }
-    }
-    out.push_row(std::move(row));
+    PEACHY_CHECK(rows[r].size() == ncols,
+                 "frame from_csv: row " + std::to_string(r + 1) + " is ragged");
   }
+
+  // One typed pass per column: int64 if every cell parses as one, else
+  // double if every cell does, else the strings.  Each pass stops at its
+  // first failure, so a cell is parsed once unless its column changes type
+  // below it.  With no data rows every column is a string column.
+  const std::size_t nrows = rows.size() - 1;
+  Frame out{header, std::vector<ColType>(ncols, ColType::kString)};
+  for (std::size_t c = 0; c < ncols; ++c) {
+    std::vector<Value>& col = out.columns_[c];
+    col.reserve(nrows);
+    if (nrows == 0) continue;
+    if (parse_column<std::int64_t>(rows, c, parse_int, col)) {
+      out.types_[c] = ColType::kInt;
+    } else if (parse_column<double>(rows, c, parse_double, col)) {
+      out.types_[c] = ColType::kDouble;
+    } else {
+      col.clear();
+      for (std::size_t r = 1; r < rows.size(); ++r) col.emplace_back(rows[r][c]);
+    }
+  }
+  out.nrows_ = nrows;
   return out;
 }
 

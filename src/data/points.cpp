@@ -233,22 +233,17 @@ LabeledPoints from_csv(const std::vector<CsvRow>& rows, bool header) {
     PEACHY_CHECK(row.size() == arity,
                  "csv row " + std::to_string(r + 1) + ": ragged arity");
     for (std::size_t j = 0; j + 1 < arity; ++j) {
-      std::size_t used = 0;
-      try {
-        coords[j] = std::stod(row[j], &used);
-      } catch (const std::exception&) {
-        throw Error{"csv row " + std::to_string(r + 1) + ": non-numeric coordinate '" + row[j] +
-                    "'"};
-      }
-      PEACHY_CHECK(used == row[j].size(),
-                   "csv row " + std::to_string(r + 1) + ": trailing junk in '" + row[j] + "'");
+      PEACHY_CHECK(parse_double(row[j], coords[j]),
+                   "csv row " + std::to_string(r + 1) + ": non-numeric coordinate '" + row[j] +
+                       "'");
     }
-    try {
-      out.labels.push_back(static_cast<std::int32_t>(std::stol(row[arity - 1])));
-    } catch (const std::exception&) {
-      throw Error{"csv row " + std::to_string(r + 1) + ": non-integer label '" + row[arity - 1] +
-                  "'"};
-    }
+    std::int64_t label = 0;
+    PEACHY_CHECK(parse_int(row[arity - 1], label) &&
+                     label >= std::numeric_limits<std::int32_t>::min() &&
+                     label <= std::numeric_limits<std::int32_t>::max(),
+                 "csv row " + std::to_string(r + 1) + ": non-integer label '" + row[arity - 1] +
+                     "'");
+    out.labels.push_back(static_cast<std::int32_t>(label));
     out.points.push_back(coords);
   }
   return out;

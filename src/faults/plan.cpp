@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 
+#include "data/csv.hpp"
 #include "obs/obs.hpp"
 #include "rng/splitmix.hpp"
 #include "support/check.hpp"
@@ -61,15 +62,9 @@ std::uint64_t parse_u64(std::string_view v, std::string_view clause) {
 }
 
 double parse_prob(std::string_view v, std::string_view clause) {
-  std::string s{v};
-  std::size_t pos = 0;
+  const std::string s{v};
   double p = 0.0;
-  try {
-    p = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  PEACHY_CHECK(pos == s.size() && p > 0.0 && p <= 1.0,
+  PEACHY_CHECK(data::parse_double(s, p) && p > 0.0 && p <= 1.0,
                "faults: prob must be in (0,1], got '" + s + "' in clause '" + std::string{clause} +
                    "'");
   return p;

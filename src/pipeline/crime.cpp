@@ -1,7 +1,7 @@
 #include "pipeline/crime.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 #include "data/csv.hpp"
 #include "data/frame.hpp"
@@ -26,11 +26,15 @@ std::vector<data::CsvRow> events_to_csv(const std::vector<geo::ArrestEvent>& eve
   std::vector<data::CsvRow> rows;
   rows.reserve(events.size() + 1);
   rows.push_back({"x", "y", "year", "offense"});
+  // to_chars(general, 12) is specified as printf("%.12g") in the C locale.
+  const auto coord = [](double v) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 12);
+    return std::string(buf, res.ptr);
+  };
   for (const auto& ev : events) {
-    char xbuf[32], ybuf[32];
-    std::snprintf(xbuf, sizeof xbuf, "%.12g", ev.location.x);
-    std::snprintf(ybuf, sizeof ybuf, "%.12g", ev.location.y);
-    rows.push_back({xbuf, ybuf, std::to_string(ev.year), ev.offense});
+    rows.push_back({coord(ev.location.x), coord(ev.location.y), std::to_string(ev.year),
+                    ev.offense});
   }
   return rows;
 }
@@ -40,13 +44,29 @@ std::vector<ArrestRecord> parse_arrests(const std::vector<data::CsvRow>& rows) {
   const data::Frame frame = data::Frame::from_csv(rows);
   const auto& vocab = geo::offense_categories();
   std::vector<ArrestRecord> records;
+  if (frame.rows() == 0) return records;
+  const std::size_t xc = frame.col_index("x");
+  const std::size_t yc = frame.col_index("y");
+  const std::size_t year_c = frame.col_index("year");
+  const std::size_t offense_c = frame.col_index("offense");
+  // Column names and types are checked once here, not once per cell.
+  const auto& types = frame.types();
+  PEACHY_CHECK(types[xc] != data::ColType::kString && types[yc] != data::ColType::kString,
+               "crime: columns 'x' and 'y' must be numeric");
+  PEACHY_CHECK(types[year_c] == data::ColType::kInt, "crime: column 'year' is not integer");
+  PEACHY_CHECK(types[offense_c] == data::ColType::kString, "crime: column 'offense' is not string");
+  const auto num = [&frame](std::size_t r, std::size_t c) {
+    const data::Value& v = frame.cell(r, c);
+    const auto* d = std::get_if<double>(&v);
+    return d != nullptr ? *d : static_cast<double>(std::get<std::int64_t>(v));
+  };
   records.reserve(frame.rows());
   for (std::size_t r = 0; r < frame.rows(); ++r) {
     ArrestRecord rec;
-    rec.x = frame.num(r, "x");
-    rec.y = frame.num(r, "y");
-    rec.year = static_cast<std::int32_t>(frame.integer(r, "year"));
-    const std::string& off = frame.str(r, "offense");
+    rec.x = num(r, xc);
+    rec.y = num(r, yc);
+    rec.year = static_cast<std::int32_t>(std::get<std::int64_t>(frame.cell(r, year_c)));
+    const std::string& off = std::get<std::string>(frame.cell(r, offense_c));
     const auto it = std::find(vocab.begin(), vocab.end(), off);
     PEACHY_CHECK(it != vocab.end(), "crime: unknown offense '" + off + "'");
     rec.offense = static_cast<std::int32_t>(it - vocab.begin());
@@ -72,12 +92,10 @@ CrimeReport run_crime_pipeline(const CrimeConfig& cfg) {
 
   // ---- the four source datasets (generated, serialized, re-parsed) ------
   const geo::SyntheticCity city{cfg.city};
-  const auto historic_events =
-      city.generate_arrests(cfg.historic_arrests, cfg.seed, {2019, 2020});
-  const auto current_events =
-      city.generate_arrests(cfg.current_arrests, cfg.seed + 1, {cfg.target_year});
-  const auto historic_csv = events_to_csv(historic_events);
-  const auto current_csv = events_to_csv(current_events);
+  const auto historic_csv =
+      events_to_csv(city.generate_arrests(cfg.historic_arrests, cfg.seed, {2019, 2020}));
+  const auto current_csv =
+      events_to_csv(city.generate_arrests(cfg.current_arrests, cfg.seed + 1, {cfg.target_year}));
   std::vector<data::CsvRow> population_csv{{"nta", "borough", "population"}};
   for (const auto& nta : city.ntas()) {
     population_csv.push_back({nta.code, nta.borough, std::to_string(nta.population)});

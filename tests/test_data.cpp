@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <random>
 #include <set>
 
 #include "data/csv.hpp"
@@ -299,6 +301,35 @@ TEST(LabeledCsv, RejectsMalformedInput) {
   EXPECT_THROW((void)pd::from_csv({{"x0", "label"}, {"1.0", "0"}, {"2.0"}}), peachy::Error);
 }
 
+TEST(LabeledCsv, RejectsLabelsThatUsedToTruncateOrWrap) {
+  // "3.7" once loaded as 3, "1abc" as 1 and "4294967297" (2^32 + 1) as 1.
+  for (const std::string label : {"3.7", "1abc", "4294967297", "-2147483649", ""}) {
+    try {
+      (void)pd::from_csv({{"x0", "label"}, {"1.0", "0"}, {"2.0", label}});
+      ADD_FAILURE() << "label '" << label << "' was accepted";
+    } catch (const peachy::Error& e) {
+      EXPECT_NE(std::string{e.what()}.find("csv row 3: non-integer label '" + label + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  const auto edges = pd::from_csv({{"x0", "label"}, {"1.0", "2147483647"}, {"2.0", "-2147483648"}});
+  EXPECT_EQ(edges.labels, (std::vector<std::int32_t>{2147483647, -2147483647 - 1}));
+}
+
+TEST(LabeledCsv, NamesTheBadCoordinate) {
+  for (const std::string x : {"abc", "1.5abc", "1e999", ""}) {
+    try {
+      (void)pd::from_csv({{"x0", "label"}, {x, "0"}});
+      ADD_FAILURE() << "coordinate '" << x << "' was accepted";
+    } catch (const peachy::Error& e) {
+      EXPECT_NE(std::string{e.what()}.find("csv row 2: non-numeric coordinate '" + x + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- frame -------------------------------------------------------------------------
 
 namespace {
@@ -409,4 +440,203 @@ TEST(Frame, FromCsvInfersDoubleForMixedNumeric) {
   const auto f = pd::Frame::from_csv({{"v"}, {"1"}, {"2.5"}});
   EXPECT_EQ(f.types()[0], pd::ColType::kDouble);
   EXPECT_DOUBLE_EQ(f.num(1, "v"), 2.5);
+}
+
+// ---- frame from_csv: differential test against the stoll/stod inference ----------
+
+namespace {
+
+// The inference Frame::from_csv used while it parsed with std::stoll /
+// std::stod inside try/catch: a cell is an int (double) when the call
+// succeeds and consumes the whole cell.  It is kept here as the oracle that
+// pins the accepted set, the inferred types and the cell values.
+bool oracle_int(const std::string& s, std::int64_t& out) {
+  if (s.empty()) return false;
+  std::size_t used = 0;
+  try {
+    out = std::stoll(s, &used);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return used == s.size();
+}
+
+bool oracle_double(const std::string& s, double& out) {
+  if (s.empty()) return false;
+  std::size_t used = 0;
+  try {
+    out = std::stod(s, &used);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return used == s.size();
+}
+
+struct OracleFrame {
+  std::string error;  // the message of the check that fails, if one does
+  std::vector<pd::ColType> types;
+  std::vector<std::vector<pd::Value>> columns;
+};
+
+OracleFrame oracle_from_csv(const std::vector<pd::CsvRow>& rows) {
+  OracleFrame out;
+  if (rows.empty()) {
+    out.error = "frame from_csv: missing header";
+    return out;
+  }
+  const std::size_t ncols = rows.front().size();
+  if (ncols == 0) {
+    out.error = "frame from_csv: empty header";
+    return out;
+  }
+  for (std::size_t r = 1; r < rows.size(); ++r) {
+    if (rows[r].size() != ncols) {
+      out.error = "frame from_csv: row " + std::to_string(r + 1) + " is ragged";
+      return out;
+    }
+  }
+  out.columns.resize(ncols);
+  for (std::size_t c = 0; c < ncols; ++c) {
+    bool all_int = true, all_num = true;
+    for (std::size_t r = 1; r < rows.size(); ++r) {
+      std::int64_t i;
+      double d;
+      if (!oracle_int(rows[r][c], i)) all_int = false;
+      if (!oracle_double(rows[r][c], d)) all_num = false;
+    }
+    pd::ColType t = all_int ? pd::ColType::kInt
+                            : (all_num ? pd::ColType::kDouble : pd::ColType::kString);
+    if (rows.size() == 1) t = pd::ColType::kString;
+    out.types.push_back(t);
+    for (std::size_t r = 1; r < rows.size(); ++r) {
+      if (t == pd::ColType::kInt) {
+        std::int64_t i = 0;
+        oracle_int(rows[r][c], i);
+        out.columns[c].emplace_back(i);
+      } else if (t == pd::ColType::kDouble) {
+        double d = 0;
+        oracle_double(rows[r][c], d);
+        out.columns[c].emplace_back(d);
+      } else {
+        out.columns[c].emplace_back(rows[r][c]);
+      }
+    }
+  }
+  return out;
+}
+
+// Bit-for-bit equality: doubles compare by memcmp, so NaN payloads and the
+// sign of zero count.
+bool same_bits(const pd::Value& a, const pd::Value& b) {
+  if (a.index() != b.index()) return false;
+  if (const auto* x = std::get_if<double>(&a)) {
+    const double y = std::get<double>(b);
+    return std::memcmp(x, &y, sizeof y) == 0;
+  }
+  return a == b;
+}
+
+std::string describe(const std::vector<pd::CsvRow>& rows) {
+  std::string s;
+  for (const auto& row : rows) {
+    s += '[';
+    for (std::size_t i = 0; i < row.size(); ++i) s += (i ? "|'" : "'") + row[i] + "'";
+    s += "] ";
+  }
+  return s;
+}
+
+void expect_matches_oracle(const std::vector<pd::CsvRow>& rows) {
+  SCOPED_TRACE(describe(rows));
+  const OracleFrame want = oracle_from_csv(rows);
+  if (!want.error.empty()) {
+    try {
+      (void)pd::Frame::from_csv(rows);
+      ADD_FAILURE() << "expected error: " << want.error;
+    } catch (const peachy::Error& e) {
+      const std::string what = e.what();
+      const std::string tail = "\xE2\x80\x94 " + want.error;  // "— " + message
+      EXPECT_TRUE(what.size() >= tail.size() &&
+                  what.compare(what.size() - tail.size(), tail.size(), tail) == 0)
+          << what;
+    }
+    return;
+  }
+  const pd::Frame got = pd::Frame::from_csv(rows);
+  ASSERT_EQ(got.types(), want.types);
+  ASSERT_EQ(got.rows(), rows.size() - 1);
+  for (std::size_t c = 0; c < got.cols(); ++c) {
+    for (std::size_t r = 0; r < got.rows(); ++r) {
+      EXPECT_TRUE(same_bits(got.cell(r, c), want.columns[c][r]))
+          << "row " << r << " col " << c << ": '" << rows[r + 1][c] << "'";
+    }
+  }
+}
+
+}  // namespace
+
+TEST(FrameFromCsvDifferential, HandPickedCellsMatchStollStodInference) {
+  const std::vector<std::string> cells = {
+      " 7",   "+5",    "-0",    "9223372036854775807", "9223372036854775808",
+      "-9223372036854775808", "-9223372036854775809", "1e999", "-1e999", "1e-400",
+      "4.9e-324", "2.2250738585072014e-308", "0x1p3", "0x10", "nan", "-nan", "NAN(123)",
+      "inf", "-INF", "infinity", "", "12abc", "3.", ".5", "1e5", "7 ", "\t-3", "+-1", "abc",
+      "ASSAULT", "1,5"};
+  for (const auto& c : cells) {
+    expect_matches_oracle({{"v"}, {c}});
+    expect_matches_oracle({{"v", "w"}, {c, "1"}, {"2", c}});
+  }
+  // An int column that turns double only on its last row, next to a double
+  // column that turns string only on its last row.
+  expect_matches_oracle({{"a", "b"}, {"1", "0.5"}, {"2", "1e3"}, {"3", "7"}, {"4.5", "x"}});
+  expect_matches_oracle({{"a", "b", "c"}});  // header only: every column is a string
+  expect_matches_oracle({{"a", "b"}, {"1", "2"}, {"3"}, {"4", "5", "6"}});  // ragged row
+  expect_matches_oracle({{"a"}, {"1"}, {"2"}, {}});
+  expect_matches_oracle({{}});
+  expect_matches_oracle({});
+}
+
+TEST(FrameFromCsvDifferential, SeededRandomColumnsMatchStollStodInference) {
+  const std::vector<std::string> ints = {"0", "7", "-12", "+5", " 7", "-0", "42",
+                                         "9223372036854775807", "-9223372036854775808"};
+  const std::vector<std::string> reals = {"3.", ".5", "2.5", "-0.25", "1e5", "0x1p3", "nan",
+                                          "inf", "-inf", "1e-300", "4.9e-324",
+                                          "9223372036854775808"};
+  const std::vector<std::string> bad = {"", "12abc", "abc", "1e999", "1e-400", "7 ", "ASSAULT",
+                                        "+", "-", ".", "e5", "0x"};
+  std::vector<std::string> all = ints;
+  all.insert(all.end(), reals.begin(), reals.end());
+  all.insert(all.end(), bad.begin(), bad.end());
+
+  for (std::uint32_t seed = 1; seed <= 400; ++seed) {
+    std::mt19937 gen{seed};
+    const auto pick = [&gen](const std::vector<std::string>& from) {
+      return from[gen() % from.size()];
+    };
+    const std::size_t ncols = 1 + gen() % 4;
+    const std::size_t nrows = gen() % 12;
+    std::vector<pd::CsvRow> rows(nrows + 1);
+    rows[0] = pd::CsvRow{"a", "b", "c", "d"};
+    rows[0].resize(ncols);
+    for (std::size_t c = 0; c < ncols; ++c) {
+      // Skew each column toward one type, so that int and double columns
+      // are as common as string ones and the rare cell decides the type.
+      const std::uint32_t flavor = gen() % 4;
+      for (std::size_t r = 1; r <= nrows; ++r) {
+        std::string cell;
+        const bool rare = gen() % 10 == 0;
+        switch (rare ? 3 : flavor) {
+          case 0: cell = pick(ints); break;
+          case 1: cell = pick(gen() % 2 ? ints : reals); break;
+          case 2:
+            cell = pick(all);
+            if (gen() % 3 == 0) cell.append(pick(all));  // "7+5", "nan.5", "1e5abc", ...
+            break;
+          default: cell = pick(all); break;
+        }
+        rows[r].push_back(std::move(cell));
+      }
+    }
+    expect_matches_oracle(rows);
+  }
 }

@@ -75,6 +75,21 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW((void)pf::FaultPlan::parse("drop@rank=0,step=1,prob=0.5"), peachy::Error);
 }
 
+TEST(FaultPlan, ProbAcceptsOnlyAWholeNumberInZeroToOne) {
+  EXPECT_DOUBLE_EQ(pf::FaultPlan::parse("drop@prob=0.5").events()[0].prob, 0.5);
+  EXPECT_DOUBLE_EQ(pf::FaultPlan::parse("drop@prob=1").events()[0].prob, 1.0);
+  for (const std::string p : {"0.5x", "1e999", "nan", "0", "1.5", "-0.5", "", "1e-400"}) {
+    try {
+      (void)pf::FaultPlan::parse("drop@prob=" + p);
+      ADD_FAILURE() << "prob '" << p << "' was accepted";
+    } catch (const peachy::Error& e) {
+      EXPECT_NE(std::string{e.what()}.find("faults: prob must be in (0,1], got '" + p + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- FaultInjector determinism ----------------------------------------------
 
 TEST(FaultInjector, SameSeedReplaysIdenticalEventLog) {

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <numeric>
 
+#include "geo/city.hpp"
 #include "pipeline/crime.hpp"
 #include "pipeline/pipeline.hpp"
 #include "support/check.hpp"
@@ -168,6 +173,45 @@ TEST(Crime, DeterministicForSeed) {
     EXPECT_EQ(a.rates[i].arrests, b.rates[i].arrests);
   }
   EXPECT_EQ(a.offenses, b.offenses);
+}
+
+// The arrests CSV the pipeline ingests writes each coordinate with
+// std::to_chars(general, 12).  The standard specifies that as
+// printf("%.12g"), the format the CSV text was first written with; this pins
+// the two byte for byte on every coordinate the generator produces and on
+// the edge values of the double range.
+TEST(Crime, CoordinateTextMatchesPrintfG12) {
+  const auto g12 = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.12g", v);
+    return std::string{buf};
+  };
+  const auto to_chars12 = [](double v) {
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 12);
+    EXPECT_EQ(res.ec, std::errc{});
+    return std::string(buf, res.ptr);
+  };
+
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 7.0, 123456789012.0, 1234567890123.0,
+                                999999999999.5, 9007199254740992.0, 1e300, -1e300, 1e-300,
+                                -1e-300, 0.1, 1.0 / 3.0, 1e-5, 9.99999999999949e-5, 1e11, 1e12,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min() / 3.0,
+                                std::nextafter(std::numeric_limits<double>::min(), 0.0),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity()};
+  const peachy::geo::SyntheticCity city{pp::CrimeConfig{}.city};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const auto& ev : city.generate_arrests(5000, seed)) {
+      values.push_back(ev.location.x);
+      values.push_back(ev.location.y);
+    }
+  }
+  for (const double v : values) ASSERT_EQ(to_chars12(v), g12(v)) << std::hexfloat << v;
 }
 
 TEST(Crime, ValidatesConfig) {
