@@ -24,7 +24,7 @@
 /// (the crossover record), with `scalar_ns` = the compiled-in default
 /// algorithm and `kernel_ns` = whatever the profile given by --profile
 /// selects (no profile: the defaults again, speedup ~1).  This is the
-/// sweep scripts/check.sh tune-smoke gates tuned-vs-default speedups on.
+/// sweep scripts/check.sh tune-gate gates tuned-vs-default speedups on.
 ///
 /// Method: best-of-R wall time per benchmark; each timed run executes
 /// many collective rounds inside one mpi::run so buffer traffic, not
@@ -487,11 +487,12 @@ void bench_coll(pt::CollOp op, int ranks, std::size_t n, int rounds, int reps,
 }
 
 /// One k-means-style assign+update step per rank — the paper's
-/// representative substrate mix: a distance-panel scan (exercises
-/// distance_block_rows), a local accumulate, and an allreduce of the
-/// centroid sums (exercises the collective rules).  Times the compiled-in
-/// defaults against the profile, so the row measures what the *whole*
-/// tuned configuration buys an end-to-end workload at this rank count.
+/// representative substrate mix: a distance-panel scan, a local
+/// accumulate, and an allreduce of the centroid sums (exercises the
+/// collective rules).  Times the compiled-in defaults against the
+/// profile; the scan's constants are compiled in and identical on both
+/// sides, so the row measures what the profile's collective rules buy a
+/// whole workload at this rank count.
 void bench_mix(int ranks, bool tiny, int reps, const pt::Tunables& profile) {
   namespace pk = peachy::kernels;
   const std::size_t n = tiny ? 32 : 1024;  // points per rank

@@ -71,9 +71,10 @@
 #                 findings over src/ + examples/ (the clean-tree gate),
 #                 and validates the peachy-lint/1 JSON document
 #   tune-smoke  — Release bench tree; runs a tiny peachy-tune session,
-#                 validates the emitted peachy-tune/1 profile schema,
+#                 validates the emitted peachy-tune/2 profile schema,
 #                 reloads the profile through the PEACHY_TUNE startup
-#                 path (no loader warnings allowed), then gates the
+#                 path (no loader warnings allowed; a peachy-tune/1
+#                 file must be rejected by name), then gates the
 #                 *no-profile* default path at <2% geomean slowdown vs
 #                 the committed kernel baseline — the tuning substrate
 #                 must cost nothing when unused
@@ -188,22 +189,19 @@ run_tune_smoke() {
     -DCMAKE_BUILD_TYPE=Release \
     -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
   echo "==== [tune-smoke] build ===="
-  cmake --build "$dir" --target peachy-tune bench_kernels -j "$JOBS"
+  cmake --build "$dir" --target peachy-tune bench_kernels bench_substrates -j "$JOBS"
   echo "==== [tune-smoke] tiny tuning session ===="
   local profile="$dir/tune_quick.json"
   "$dir/tools/peachy-tune" --quick --out "$profile"
-  echo "==== [tune-smoke] validate peachy-tune/1 JSON ===="
+  echo "==== [tune-smoke] validate peachy-tune/2 JSON ===="
   python3 - "$profile" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     doc = json.load(f)
-assert doc["schema"] == "peachy-tune/1", doc.get("schema")
+assert doc["schema"] == "peachy-tune/2", doc.get("schema")
 assert isinstance(doc["isa"], str) and doc["isa"]
-t = doc["tunables"]
-for key in ("parallel_for_grain", "gemm_mr", "gemm_nr",
-            "distance_block_rows", "pool_max_parked"):
-    assert key in t and isinstance(t[key], int) and t[key] >= 0, (key, t)
-assert (t["gemm_mr"], t["gemm_nr"]) in {(4, 8), (2, 8), (4, 4), (8, 4)}, t
+# Scalar constants are compiled in; profiles carry collective rules only.
+assert "tunables" not in doc, doc["tunables"]
 ops = {"broadcast", "reduce", "allreduce", "allgather"}
 algos = {"auto", "linear", "binomial", "ring", "recdouble"}
 for rule in doc.get("collectives", []):
@@ -213,16 +211,28 @@ print(f"profile OK: {len(doc.get('collectives', []))} collective rules, "
 EOF
   echo "==== [tune-smoke] reload through PEACHY_TUNE ===="
   # The startup loader must accept its own output silently; any named
-  # fallback warning on stderr fails the round-trip.
+  # fallback warning on stderr fails the round-trip.  The reload runs
+  # bench_substrates because only mini-MPI runs resolve PEACHY_TUNE; the
+  # peachy-tune/1 control proves that this binary does read it.
   local reload_err="$dir/tune_reload_err.txt"
-  PEACHY_TUNE="$profile" "$dir/bench/bench_kernels" --tiny \
-    --out "$dir/BENCH_kernels_tunesmoke.json" 2> "$reload_err"
+  PEACHY_TUNE="$profile" "$dir/bench/bench_substrates" --tiny \
+    --out "$dir/BENCH_substrates_tunesmoke.json" > /dev/null 2> "$reload_err"
   if grep -q "peachy-tune" "$reload_err"; then
     echo "tune-smoke: loader warned on its own emitted profile:" >&2
     cat "$reload_err" >&2
     exit 1
   fi
-  echo "reload OK: no loader warnings"
+  local old_profile="$dir/tune_v1.json"
+  printf '{"schema": "peachy-tune/1", "tunables": {"grain": 8192}, "collectives": []}\n' \
+    > "$old_profile"
+  PEACHY_TUNE="$old_profile" "$dir/bench/bench_substrates" --tiny \
+    --out "$dir/BENCH_substrates_tunesmoke.json" > /dev/null 2> "$reload_err"
+  if ! grep -q "schema version mismatch" "$reload_err"; then
+    echo "tune-smoke: a peachy-tune/1 profile was not rejected by name:" >&2
+    cat "$reload_err" >&2
+    exit 1
+  fi
+  echo "reload OK: no loader warnings; peachy-tune/1 rejected by name"
   echo "==== [tune-smoke] no-profile default-path overhead gate ===="
   local fresh="$dir/bench/BENCH_kernels_tune.json"
   "$dir/bench/bench_kernels" --repeat 5 --out "$fresh"

@@ -18,11 +18,9 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <limits>
 
 #include "kernels/kernels.hpp"
-#include "tune/tune.hpp"
 
 namespace peachy::kernels::detail::avx2 {
 
@@ -128,36 +126,8 @@ void squared_distances_batch(const double* q, std::size_t d, const double* panel
 
 void squared_distances_tile(const double* pts, std::size_t n, std::size_t d,
                             const double* panel, std::size_t k, std::size_t kp, double* out) {
-  // Panel blocking (tunable): when the centroid panel is bigger than the
-  // cache, streaming all of it per point evicts it n times over.  With a
-  // row block of height B, the loop order becomes (row block, panel
-  // group, row): each d×4 group is loaded once per block instead of once
-  // per row, cutting panel traffic by ~B×.  Bit-identical to the
-  // unblocked loop — every out[i*k+c] is an independent chain computed by
-  // the same group_distances call, only the (i, group) visit order moves.
-  const std::size_t block = tune::active().distance_block_rows;
-  if (block == 0) {  // compiled-in default: the historical unblocked loop
-    for (std::size_t i = 0; i < n; ++i) {
-      squared_distances_batch(pts + i * d, d, panel, k, kp, out + i * k);
-    }
-    return;
-  }
-  for (std::size_t r0 = 0; r0 < n; r0 += block) {
-    const std::size_t r1 = std::min(n, r0 + block);
-    for (std::size_t g = 0; g * kPanelLane < kp; ++g) {
-      const double* grp = panel + g * d * kPanelLane;
-      const std::size_t c0 = g * kPanelLane;
-      for (std::size_t i = r0; i < r1; ++i) {
-        const __m256d dist = group_distances(pts + i * d, d, grp);
-        double* orow = out + i * k;
-        if (c0 + kPanelLane <= k) {
-          _mm256_storeu_pd(orow + c0, dist);
-        } else {
-          const Lanes s{dist};
-          for (std::size_t lane = 0; c0 + lane < k; ++lane) orow[c0 + lane] = s.v[lane];
-        }
-      }
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    squared_distances_batch(pts + i * d, d, panel, k, kp, out + i * k);
   }
 }
 
@@ -226,8 +196,8 @@ namespace {
 
 /// MR×NR register-tile micro-kernel: MR×(NR/4) ymm accumulators per
 /// tile, k ascending, so each C element's chain is exactly the reference
-/// i-k-j running sum — true for *any* tile shape, which is what makes
-/// the tile a tunable rather than a contract change.  Tails fall back to
+/// i-k-j running sum — true for *any* tile shape, so the shape is a
+/// performance choice, not a contract change.  Tails fall back to
 /// the reference loop structure (innermost j elementwise, k ascending)
 /// which keeps the same per-element chains.  MR/NR are compile-time so
 /// the accumulator array lives entirely in registers; the constexpr
@@ -291,14 +261,7 @@ void gemm_tile(const double* a, const double* b, double* c, std::size_t n, std::
 
 void gemm_block(const double* a, const double* b, double* c, std::size_t n, std::size_t k,
                 std::size_t m) {
-  // Tile shape comes from the active tuning profile.  Only the shapes in
-  // tune::gemm_tile_supported() are instantiated; anything else (already
-  // warned about at profile load) lands on the compiled-in 4×8 default.
-  const tune::Tunables& t = tune::active();
-  if (t.gemm_mr == 2 && t.gemm_nr == 8) return gemm_tile<2, 8>(a, b, c, n, k, m);
-  if (t.gemm_mr == 4 && t.gemm_nr == 4) return gemm_tile<4, 4>(a, b, c, n, k, m);
-  if (t.gemm_mr == 8 && t.gemm_nr == 4) return gemm_tile<8, 4>(a, b, c, n, k, m);
-  return gemm_tile<4, 8>(a, b, c, n, k, m);
+  gemm_tile<4, 8>(a, b, c, n, k, m);
 }
 
 }  // namespace peachy::kernels::detail::avx2

@@ -8,7 +8,6 @@
 
 #include "obs/obs.hpp"
 #include "support/check.hpp"
-#include "tune/tune.hpp"
 
 namespace peachy::mpi {
 
@@ -29,11 +28,7 @@ constexpr std::uint32_t kUnpooledClass = 0xffffffffu;
 // Bound on parked slabs per class: enough that every rank of the widest
 // machine the tests run (p=16) can have a send and a receive in flight
 // without a miss, small enough that the pool's resident set stays modest.
-// This is the compiled-in default of tune::Tunables::pool_max_parked; a
-// loaded profile can trade resident bytes against hit rate.  Read per
-// release (one relaxed snapshot load) so a profile installed before a
-// run takes effect without rebuilding the pool.
-std::size_t max_parked_per_class() noexcept { return tune::active().pool_max_parked; }
+constexpr std::size_t kMaxParkedPerClass = 64;
 
 std::uint32_t class_for(std::size_t bytes) noexcept {
   std::size_t cap = std::size_t{1} << kMinClassLog2;
@@ -158,7 +153,7 @@ void BufferPool::release_slab(SlabHeader* h) noexcept {
   if (cls != kUnpooledClass && impl_->pooling.load(std::memory_order_relaxed)) {
     Impl::FreeList& fl = impl_->classes[cls];
     std::lock_guard lock{fl.mu};
-    if (fl.count < max_parked_per_class()) {
+    if (fl.count < kMaxParkedPerClass) {
       h->next = fl.head;
       fl.head = h;
       ++fl.count;

@@ -192,10 +192,9 @@ class Machine : public TransportSink {
     return default_timeout_ns_;
   }
   /// The tunables snapshot this machine was constructed with (explicit
-  /// RunOptions profile, else tune::active() at construction).  Pinned
-  /// for the machine's lifetime so every rank — and every round of every
-  /// collective — selects against the same profile even if set_active()
-  /// runs concurrently.
+  /// RunOptions profile, else tune::active()).  Pinned for the machine's
+  /// lifetime so every rank — and every round of every collective —
+  /// selects against the same profile.
   [[nodiscard]] const tune::Tunables& tunables() const noexcept { return *tunables_; }
   [[nodiscard]] faults::FaultInjector* injector() noexcept { return injector_.get(); }
   [[nodiscard]] int size() const noexcept { return static_cast<int>(boxes_.size()); }

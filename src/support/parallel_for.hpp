@@ -24,7 +24,6 @@
 #include "obs/obs.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
-#include "tune/tune.hpp"
 
 namespace peachy::support {
 
@@ -47,19 +46,11 @@ struct BlockRange {
   return {begin, begin + len};
 }
 
-/// Compiled-in default grain for the element-wise parallel_for: loops at
-/// or below this many iterations run their blocks inline on the calling
-/// thread.  Sized so that a body has to be worth at least a few
-/// microseconds total before task dispatch (futures + wakeups) can pay
-/// for itself.  This is also the default of tune::Tunables::
-/// parallel_for_grain — a loaded profile can move the crossover.
+/// Default grain for the element-wise parallel_for: loops at or below
+/// this many iterations run their blocks inline on the calling thread.
+/// Sized so that a body has to be worth at least a few microseconds total
+/// before task dispatch (futures + wakeups) can pay for itself.
 inline constexpr std::size_t kInlineGrain = 2048;
-
-/// Sentinel grain: resolve from the active tuning profile
-/// (tune::active().parallel_for_grain, which defaults to kInlineGrain).
-/// This is parallel_for's default, so every call site follows the
-/// profile unless it pins a grain explicitly (0 = always dispatch).
-inline constexpr std::size_t kGrainAuto = static_cast<std::size_t>(-1);
 
 /// Run body(tid, lo, hi) on `threads` pool tasks, one per static block of
 /// [0,n).  Blocks until all complete.  Equivalent to
@@ -114,13 +105,11 @@ void parallel_for_threads(ThreadPool& pool, std::size_t n, std::size_t threads, 
 /// loops don't pay futures-and-wakeups overhead that dwarfs their work.
 /// Pass grain = 0 to always dispatch: bodies that are expensive per
 /// iteration (or callers measuring dispatch itself) want pool tasks even
-/// for small n.  The default, kGrainAuto, reads the active tuning
-/// profile's grain (= kInlineGrain unless a profile moved it).
+/// for small n.
 template <typename Body>
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end, Body&& body,
-                  std::size_t grain = kGrainAuto) {
+                  std::size_t grain = kInlineGrain) {
   if (begin >= end) return;
-  if (grain == kGrainAuto) grain = tune::active().parallel_for_grain;
   const std::size_t n = end - begin;
   const std::size_t parts = std::min(n, pool.thread_count());
   const bool inline_exec = grain != 0 && n <= grain;

@@ -11,44 +11,20 @@
 
 #include "tune/tune.hpp"
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <utility>
-
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PEACHY_TUNE_HAS_LSAN 1
-#endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define PEACHY_TUNE_HAS_LSAN 1
-#endif
-#if defined(PEACHY_TUNE_HAS_LSAN)
-#include <sanitizer/lsan_interface.h>
-#endif
 
 namespace peachy::tune {
 
 namespace {
 
-/// The active-snapshot registry leaks each installed Tunables on purpose
-/// (readers during static destruction; see resolve_from_env).  Tell
-/// LeakSanitizer so the asan-ubsan CI matrix doesn't flag the design.
-const Tunables* leak_on_purpose(const Tunables* t) {
-#if defined(PEACHY_TUNE_HAS_LSAN)
-  __lsan_ignore_object(t);
-#endif
-  return t;
-}
-
-constexpr std::string_view kSchema = "peachy-tune/1";
+constexpr std::string_view kSchema = "peachy-tune/2";
 
 // ---- minimal JSON value model + parser --------------------------------------
 
@@ -301,20 +277,28 @@ void append_escaped(std::string& out, std::string_view s) {
 
 // ---- field extraction helpers ----------------------------------------------
 
-/// Reads a non-negative integer field into `out`; absent is fine (keeps
-/// the default), present-but-invalid keeps the default and records a
-/// named warning.
+/// Reads a non-negative integer field of rule `where` into `out`.  Absent
+/// is fine (keeps the default).  Negative, non-integer, or too large for
+/// T records a named warning and returns false: the caller skips the
+/// whole rule rather than apply it over a range nobody wrote.
 template <typename T>
-void read_nonneg(const JsonValue& obj, std::string_view key, T& out,
+bool read_nonneg(const JsonValue& obj, const std::string& where, std::string_view key, T& out,
                  std::vector<std::string>& warnings) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr) return;
+  if (v == nullptr) return true;
   if (v->kind != JsonValue::Kind::kInt || v->i < 0) {
-    warnings.push_back("field '" + std::string(key) +
-                       "' must be a non-negative integer; keeping default");
-    return;
+    warnings.push_back(where + ": field '" + std::string(key) +
+                       "' must be a non-negative integer; rule skipped");
+    return false;
+  }
+  if (static_cast<std::uint64_t>(v->i) > std::uint64_t{std::numeric_limits<T>::max()}) {
+    warnings.push_back(where + ": field '" + std::string(key) + "' = " + std::to_string(v->i) +
+                       " exceeds " + std::to_string(std::numeric_limits<T>::max()) +
+                       "; rule skipped");
+    return false;
   }
   out = static_cast<T>(v->i);
+  return true;
 }
 
 }  // namespace
@@ -364,11 +348,6 @@ bool parse_coll_algo(std::string_view name, CollAlgo& out) noexcept {
   return false;
 }
 
-bool gemm_tile_supported(int mr, int nr) noexcept {
-  return (mr == 4 && nr == 8) || (mr == 2 && nr == 8) || (mr == 4 && nr == 4) ||
-         (mr == 8 && nr == 4);
-}
-
 // ---- selection ---------------------------------------------------------------
 
 CollAlgo Tunables::coll_algo(CollOp op, int p, std::int64_t bytes) const noexcept {
@@ -405,14 +384,7 @@ std::string to_json(const Profile& profile) {
   append_escaped(out, profile.isa);
   out += ",\n  \"tuned_for\": ";
   append_escaped(out, profile.tuned_for);
-  out += ",\n  \"tunables\": {\n";
-  out += "    \"parallel_for_grain\": " + std::to_string(t.parallel_for_grain) + ",\n";
-  out += "    \"gemm_mr\": " + std::to_string(t.gemm_mr) + ",\n";
-  out += "    \"gemm_nr\": " + std::to_string(t.gemm_nr) + ",\n";
-  out += "    \"distance_block_rows\": " + std::to_string(t.distance_block_rows) + ",\n";
-  out += "    \"pool_max_parked\": " + std::to_string(t.pool_max_parked) + "\n";
-  out += "  },\n";
-  out += "  \"collectives\": [";
+  out += ",\n  \"collectives\": [";
   for (std::size_t i = 0; i < t.coll_rules.size(); ++i) {
     const CollRule& r = t.coll_rules[i];
     out += i == 0 ? "\n" : ",\n";
@@ -470,28 +442,6 @@ LoadResult parse_profile(std::string_view json_text) {
   }
 
   Tunables& t = res.profile.tunables;
-  if (const JsonValue* tv = doc.find("tunables"); tv != nullptr) {
-    if (tv->kind != JsonValue::Kind::kObject) {
-      res.warnings.push_back("'tunables' is not an object; keeping all defaults");
-    } else {
-      read_nonneg(*tv, "parallel_for_grain", t.parallel_for_grain, res.warnings);
-      int mr = t.gemm_mr;
-      int nr = t.gemm_nr;
-      read_nonneg(*tv, "gemm_mr", mr, res.warnings);
-      read_nonneg(*tv, "gemm_nr", nr, res.warnings);
-      if (gemm_tile_supported(mr, nr)) {
-        t.gemm_mr = mr;
-        t.gemm_nr = nr;
-      } else {
-        res.warnings.push_back("gemm tile " + std::to_string(mr) + "x" + std::to_string(nr) +
-                               " is not an instantiated micro-kernel; keeping default " +
-                               std::to_string(t.gemm_mr) + "x" + std::to_string(t.gemm_nr));
-      }
-      read_nonneg(*tv, "distance_block_rows", t.distance_block_rows, res.warnings);
-      read_nonneg(*tv, "pool_max_parked", t.pool_max_parked, res.warnings);
-    }
-  }
-
   if (const JsonValue* rules = doc.find("collectives"); rules != nullptr) {
     if (rules->kind != JsonValue::Kind::kArray) {
       res.warnings.push_back("'collectives' is not an array; keeping no rules");
@@ -516,10 +466,12 @@ LoadResult parse_profile(std::string_view json_text) {
           res.warnings.push_back(where + ": unknown or missing 'algo'; rule skipped");
           continue;
         }
-        read_nonneg(rv, "p_min", rule.p_min, res.warnings);
-        read_nonneg(rv, "p_max", rule.p_max, res.warnings);
-        read_nonneg(rv, "bytes_min", rule.bytes_min, res.warnings);
-        read_nonneg(rv, "bytes_max", rule.bytes_max, res.warnings);
+        if (!read_nonneg(rv, where, "p_min", rule.p_min, res.warnings) ||
+            !read_nonneg(rv, where, "p_max", rule.p_max, res.warnings) ||
+            !read_nonneg(rv, where, "bytes_min", rule.bytes_min, res.warnings) ||
+            !read_nonneg(rv, where, "bytes_max", rule.bytes_max, res.warnings)) {
+          continue;
+        }
         if (rule.p_min > rule.p_max || rule.bytes_min > rule.bytes_max) {
           res.warnings.push_back(where + ": empty p/bytes range; rule skipped");
           continue;
@@ -582,11 +534,8 @@ const Tunables* resolve_from_env() {
   for (const std::string& w : res.warnings) {
     std::fprintf(stderr, "peachy-tune: warning: %s\n", w.c_str());
   }
-  return leak_on_purpose(new Tunables{std::move(res.profile.tunables)});
+  return new Tunables{std::move(res.profile.tunables)};
 }
-
-std::atomic<const Tunables*> g_active{nullptr};
-std::mutex g_resolve_mu;
 
 }  // namespace
 
@@ -596,24 +545,8 @@ const Tunables& defaults() noexcept {
 }
 
 const Tunables& active() noexcept {
-  const Tunables* t = g_active.load(std::memory_order_acquire);
-  if (t != nullptr) return *t;
-  const std::lock_guard<std::mutex> lk{g_resolve_mu};
-  t = g_active.load(std::memory_order_relaxed);
-  if (t == nullptr) {
-    t = resolve_from_env();
-    g_active.store(t, std::memory_order_release);
-  }
-  return *t;
-}
-
-void set_active(const Tunables& t) {
-  g_active.store(leak_on_purpose(new Tunables{t}), std::memory_order_release);
-}
-
-void reset_active() {
-  const std::lock_guard<std::mutex> lk{g_resolve_mu};
-  g_active.store(resolve_from_env(), std::memory_order_release);
+  static const Tunables* const kActive = resolve_from_env();
+  return *kActive;
 }
 
 }  // namespace peachy::tune

@@ -3,21 +3,22 @@
 /// \brief peachy::tune — the self-tuning substrate's profile layer.
 ///
 /// The paper's HPO assignment (§7) is a search harness; this module turns
-/// it inward.  Every performance-sensitive constant that used to be a
-/// compile-time literal — the collective algorithm per (op, p, bytes),
-/// the parallel_for inline grain, the gemm register tile, the distance
-/// panel row blocking, the BufferPool parking bound — is now read from a
-/// process-wide `Tunables` snapshot.  The compiled-in defaults are
-/// exactly the pre-tune constants, so a build that never loads a profile
-/// behaves (and performs) identically to one that predates this module.
+/// it inward.  The collective algorithm per (op, p, bytes) is read from a
+/// process-wide `Tunables` snapshot of selection rules.  With no rules
+/// every collective takes its compiled-in default path, so a build that
+/// never loads a profile behaves (and performs) identically to one that
+/// predates this module.  The scalar constants of the other layers (the
+/// parallel_for inline grain, the gemm register tile, the BufferPool
+/// parking bound) are compiled in at their consumers; no profile moves
+/// them.
 ///
-/// Profiles are versioned JSON artifacts (`peachy-tune/1`) produced by
-/// `tools/peachy-tune` (a successive-halving search over the config
+/// Profiles are versioned JSON artifacts (`peachy-tune/2`) produced by
+/// `tools/peachy-tune` (a successive-halving search over the algorithm
 /// space, reusing peachy::hpo) and loaded at startup from the file named
-/// by `PEACHY_TUNE=<file>` — or installed explicitly via set_active() /
-/// mpi::RunOptions.  A missing, corrupt, or version-mismatched profile
-/// falls back to the defaults with a named warning on stderr; it never
-/// crashes and never half-applies.
+/// by `PEACHY_TUNE=<file>` — or passed per run via mpi::RunOptions.  A
+/// missing, corrupt, or version-mismatched profile falls back to the
+/// defaults with a named warning on stderr; it never crashes and never
+/// half-applies.
 ///
 /// **Selection must be communication-free.**  Collective algorithm choice
 /// happens independently on every rank, so the lookup key must be
@@ -78,23 +79,9 @@ struct CollRule {
   }
 };
 
-/// The full tunable-constant snapshot.  Default-constructed values ARE
-/// the pre-tune compiled-in constants; an empty rule list means every
-/// collective takes its historical default path.
+/// The tunable snapshot: collective selection rules.  An empty rule list
+/// (the default) means every collective takes its historical default path.
 struct Tunables {
-  /// parallel_for loops of at most this many iterations run inline
-  /// (support/parallel_for.hpp; historical kInlineGrain).
-  std::size_t parallel_for_grain = 2048;
-  /// gemm register tile (rows × cols of C accumulated in registers) for
-  /// the AVX2 micro-kernel.  Only the instantiated shapes are legal —
-  /// see gemm_tile_supported(); anything else loads as the default.
-  int gemm_mr = 4;
-  int gemm_nr = 8;
-  /// Row-block height for the batched squared-distance panel kernel;
-  /// 0 = unblocked (the historical single pass over all rows).
-  std::size_t distance_block_rows = 0;
-  /// BufferPool per-size-class parked-slab bound (buffer_pool.cpp).
-  std::size_t pool_max_parked = 64;
   /// Collective algorithm selection rules, first match wins.
   std::vector<CollRule> coll_rules;
 
@@ -104,9 +91,6 @@ struct Tunables {
   /// two — the algorithm is only defined there.
   [[nodiscard]] CollAlgo coll_algo(CollOp op, int p, std::int64_t bytes) const noexcept;
 };
-
-/// True for the gemm register tiles the kernel layer instantiates.
-[[nodiscard]] bool gemm_tile_supported(int mr, int nr) noexcept;
 
 /// A loadable/saveable profile: tunables plus provenance metadata.
 struct Profile {
@@ -118,18 +102,18 @@ struct Profile {
 /// Outcome of parsing/loading a profile.  `ok == false` means the input
 /// was unusable (corrupt, wrong schema) and `profile` holds pure
 /// defaults; `warnings` carries one named message per problem either way
-/// (a partially-specified profile loads ok with its gaps defaulted, but
-/// invalid field *values* are individually rejected with a warning).
+/// (a partially-specified rule loads ok with its gaps defaulted, but a
+/// rule with an invalid field *value* is skipped with a warning).
 struct LoadResult {
   bool ok = false;
   Profile profile;
   std::vector<std::string> warnings;
 };
 
-/// Serialize to the versioned `peachy-tune/1` JSON document.
+/// Serialize to the versioned `peachy-tune/2` JSON document.
 [[nodiscard]] std::string to_json(const Profile& profile);
 
-/// Parse a `peachy-tune/1` JSON document (never throws on bad input).
+/// Parse a `peachy-tune/2` JSON document (never throws on bad input).
 [[nodiscard]] LoadResult parse_profile(std::string_view json_text);
 
 /// Load a profile file; a missing/unreadable file is an `ok == false`
@@ -142,19 +126,12 @@ bool write_profile_file(const Profile& profile, const std::string& path);
 
 /// The process-wide active tunables.  First call resolves `PEACHY_TUNE`:
 /// set and loadable → that profile; set but broken → defaults plus one
-/// named stderr warning; unset → defaults.  Subsequent calls are one
-/// atomic load.  The reference stays valid forever (storage is leaked,
-/// like the obs registry, so static-destruction order can't bite).
+/// named stderr warning; unset → defaults.  The reference stays valid
+/// forever (storage is leaked, like the obs registry, so static-
+/// destruction order can't bite).
 [[nodiscard]] const Tunables& active() noexcept;
 
 /// Compiled-in defaults (what active() returns with no profile).
 [[nodiscard]] const Tunables& defaults() noexcept;
-
-/// Install `t` as the active snapshot (tests, benchmarks, peachy-tune).
-/// Copies; the caller's object need not outlive the call.
-void set_active(const Tunables& t);
-
-/// Drop any set_active() override and re-resolve from the environment.
-void reset_active();
 
 }  // namespace peachy::tune

@@ -196,6 +196,22 @@ TEST(ParallelFor, EmptyRangeIsNoop) {
   EXPECT_EQ(calls, 0);
 }
 
+TEST(ParallelFor, CorrectAtEveryGrain) {
+  // grain 0 always dispatches, a grain at or above n runs inline, and the
+  // default (kInlineGrain) dispatches this 3000-iteration loop: results
+  // are the same either way.
+  ps::ThreadPool pool{4};
+  for (const std::size_t grain :
+       {std::size_t{0}, std::size_t{1}, ps::kInlineGrain, std::size_t{100000}}) {
+    std::vector<int> hits(3000, 0);
+    ps::parallel_for(
+        pool, 0, hits.size(), [&](std::size_t i) { hits[i] = static_cast<int>(i % 7); }, grain);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], static_cast<int>(i % 7)) << "grain=" << grain;
+    }
+  }
+}
+
 TEST(ParallelForThreads, StaticScheduleMatchesBlockRule) {
   ps::ThreadPool pool{4};
   std::mutex mu;

@@ -1,7 +1,6 @@
 /// \file test_tune.cpp
 /// \brief peachy::tune — profile parsing/fallback, selection rules, and
-/// the correctness contracts of the algorithmic collectives and tunable
-/// kernel constants.
+/// the correctness contracts of the algorithmic collectives.
 ///
 /// The two load-bearing guarantees under test:
 ///
@@ -16,42 +15,37 @@
 ///  2. *A bad profile can cost performance, never correctness.*
 ///     Corrupt, missing, version-mismatched, or partially-specified
 ///     profiles fall back to compiled-in defaults with named warnings —
-///     no crash, no half-applied state.
+///     no crash, no half-applied state, and no malformed rule loaded
+///     (a seeded mutation fuzz over the committed profile pins this).
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <span>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/plan.hpp"
-#include "kernels/kernels.hpp"
-#include "mpi/buffer_pool.hpp"
 #include "mpi/mpi.hpp"
-#include "support/parallel_for.hpp"
 #include "tune/tune.hpp"
 
 namespace pt = peachy::tune;
 namespace pm = peachy::mpi;
-namespace pk = peachy::kernels;
 namespace pf = peachy::faults;
 
 namespace {
-
-/// Restore the process-wide active snapshot (to the environment-resolved
-/// state, i.e. pure defaults in the test runner) when a test scope ends.
-struct ActiveGuard {
-  ActiveGuard() = default;
-  ~ActiveGuard() { pt::reset_active(); }
-  ActiveGuard(const ActiveGuard&) = delete;
-  ActiveGuard& operator=(const ActiveGuard&) = delete;
-};
 
 /// Tunables forcing `algo` for `op` everywhere.
 pt::Tunables forced(pt::CollOp op, pt::CollAlgo algo) {
@@ -122,13 +116,6 @@ TEST(TuneSelect, RecDoubleDemotedAtNonPowerOfTwo) {
   EXPECT_EQ(t.coll_algo(pt::CollOp::kAllreduce, 8, 64), pt::CollAlgo::kRecDouble);
   EXPECT_EQ(t.coll_algo(pt::CollOp::kAllreduce, 6, 64), pt::CollAlgo::kAuto);
   EXPECT_EQ(t.coll_algo(pt::CollOp::kAllreduce, 1, 64), pt::CollAlgo::kRecDouble);
-}
-
-TEST(TuneSelect, GrainDefaultMatchesCompiledInConstant) {
-  EXPECT_EQ(pt::defaults().parallel_for_grain, peachy::support::kInlineGrain);
-  EXPECT_EQ(pt::defaults().pool_max_parked, 64u);
-  EXPECT_EQ(pt::defaults().distance_block_rows, 0u);
-  EXPECT_TRUE(pt::gemm_tile_supported(pt::defaults().gemm_mr, pt::defaults().gemm_nr));
 }
 
 // ---------------------------------------------------------------------------
@@ -341,29 +328,37 @@ TEST(TuneCollectives, FloatReduceRepeatDeterministicPerAlgorithm) {
   }
 }
 
+
 // ---------------------------------------------------------------------------
 // Profile parsing: corrupt input degrades to defaults with named
 // warnings, never a crash; good input round-trips exactly.
 
 TEST(TuneProfile, CorruptInputsRejectedWithWarnings) {
   for (const char* bad : {"", "not json", "{", "[1,2,3]", "42", "\"peachy\"",
-                          "{\"schema\": \"peachy-tune/1\"", "{\"no_schema\": true}"}) {
+                          "{\"schema\": \"peachy-tune/2\"", "{\"no_schema\": true}"}) {
     const pt::LoadResult r = pt::parse_profile(bad);
     EXPECT_FALSE(r.ok) << bad;
     ASSERT_FALSE(r.warnings.empty()) << bad;
-    // Defaults, fully intact.
-    EXPECT_EQ(r.profile.tunables.parallel_for_grain, pt::defaults().parallel_for_grain);
     EXPECT_TRUE(r.profile.tunables.coll_rules.empty());
   }
 }
 
 TEST(TuneProfile, VersionMismatchRejected) {
-  const pt::LoadResult r =
-      pt::parse_profile(R"({"schema": "peachy-tune/2", "tunables": {"gemm_mr": 2}})");
+  // A peachy-tune/1 document (the schema that still carried scalar
+  // constants in a `tunables` object) is rejected as a whole by its
+  // schema string, before any field is read, so it is never
+  // half-applied: its valid collective rule does not load either.
+  const pt::LoadResult r = pt::parse_profile(R"({
+    "schema": "peachy-tune/1",
+    "tunables": {"grain": 8192, "block_rows": 32},
+    "collectives": [{"op": "allreduce", "algo": "ring"}]
+  })");
   EXPECT_FALSE(r.ok);
-  ASSERT_FALSE(r.warnings.empty());
-  EXPECT_NE(r.warnings.front().find("peachy-tune"), std::string::npos);
-  EXPECT_EQ(r.profile.tunables.gemm_mr, pt::defaults().gemm_mr);
+  ASSERT_EQ(r.warnings.size(), 1u);
+  EXPECT_NE(r.warnings.front().find("schema version mismatch"), std::string::npos);
+  EXPECT_NE(r.warnings.front().find("\"peachy-tune/1\""), std::string::npos);
+  EXPECT_NE(r.warnings.front().find("\"peachy-tune/2\""), std::string::npos);
+  EXPECT_TRUE(r.profile.tunables.coll_rules.empty());
 }
 
 TEST(TuneProfile, MissingFileIsNamedWarningNotCrash) {
@@ -374,45 +369,81 @@ TEST(TuneProfile, MissingFileIsNamedWarningNotCrash) {
 }
 
 TEST(TuneProfile, PartialProfileFillsGapsWithDefaults) {
-  const pt::LoadResult r = pt::parse_profile(
-      R"({"schema": "peachy-tune/1", "tunables": {"parallel_for_grain": 123}})");
+  const pt::LoadResult none = pt::parse_profile(R"({"schema": "peachy-tune/2"})");
+  EXPECT_TRUE(none.ok);
+  EXPECT_TRUE(none.warnings.empty()) << none.warnings.front();
+  EXPECT_TRUE(none.profile.tunables.coll_rules.empty());
+
+  const pt::LoadResult r = pt::parse_profile(R"({
+    "schema": "peachy-tune/2",
+    "collectives": [{"op": "allreduce", "algo": "ring", "p_min": 4}]
+  })");
   EXPECT_TRUE(r.ok);
   EXPECT_TRUE(r.warnings.empty()) << r.warnings.front();
-  EXPECT_EQ(r.profile.tunables.parallel_for_grain, 123u);
-  EXPECT_EQ(r.profile.tunables.gemm_mr, pt::defaults().gemm_mr);
-  EXPECT_EQ(r.profile.tunables.pool_max_parked, pt::defaults().pool_max_parked);
-  EXPECT_TRUE(r.profile.tunables.coll_rules.empty());
+  ASSERT_EQ(r.profile.tunables.coll_rules.size(), 1u);
+  const pt::CollRule& rule = r.profile.tunables.coll_rules[0];
+  const pt::CollRule defaults;
+  EXPECT_EQ(rule.p_min, 4);
+  EXPECT_EQ(rule.p_max, defaults.p_max);
+  EXPECT_EQ(rule.bytes_min, defaults.bytes_min);
+  EXPECT_EQ(rule.bytes_max, defaults.bytes_max);
 }
 
 TEST(TuneProfile, InvalidFieldValuesIndividuallyRejected) {
-  // Unsupported gemm tile: warning, tile stays default, rest applies.
+  // Each bad rule is skipped with its own warning; the good one applies.
   const pt::LoadResult r = pt::parse_profile(R"({
-    "schema": "peachy-tune/1",
-    "tunables": {"gemm_mr": 3, "gemm_nr": 5, "pool_max_parked": 7},
+    "schema": "peachy-tune/2",
     "collectives": [
       {"op": "allreduce", "algo": "ring"},
       {"op": "frobnicate", "algo": "ring"},
-      {"op": "reduce", "algo": "warp_shuffle"}
+      {"op": "reduce", "algo": "warp_shuffle"},
+      {"op": "reduce", "algo": "ring", "p_min": -1},
+      {"op": "reduce", "algo": "ring", "bytes_max": 1.5},
+      {"op": "reduce", "algo": "ring", "p_min": 8, "p_max": 4},
+      7
     ]
   })");
   EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.profile.tunables.gemm_mr, pt::defaults().gemm_mr);
-  EXPECT_EQ(r.profile.tunables.gemm_nr, pt::defaults().gemm_nr);
-  EXPECT_EQ(r.profile.tunables.pool_max_parked, 7u);
-  ASSERT_EQ(r.profile.tunables.coll_rules.size(), 1u);  // two bad rules skipped
+  ASSERT_EQ(r.profile.tunables.coll_rules.size(), 1u);
+  EXPECT_EQ(r.profile.tunables.coll_rules[0].op, pt::CollOp::kAllreduce);
   EXPECT_EQ(r.profile.tunables.coll_rules[0].algo, pt::CollAlgo::kRing);
-  EXPECT_GE(r.warnings.size(), 3u);  // tile + two rules
+  ASSERT_EQ(r.warnings.size(), 6u);
+  for (std::size_t i = 0; i < r.warnings.size(); ++i) {
+    EXPECT_NE(r.warnings[i].find("collectives[" + std::to_string(i + 1) + "]"),
+              std::string::npos)
+        << r.warnings[i];
+  }
+}
+
+TEST(TuneProfile, OutOfRangeRuleFieldSkippedNotNarrowed) {
+  // 4294967298 = 2^32 + 2 used to wrap to p_max = 2, so a rule written
+  // for every rank count silently stopped matching p = 8.
+  const pt::LoadResult r = pt::parse_profile(R"({
+    "schema": "peachy-tune/2",
+    "collectives": [
+      {"op": "allreduce", "algo": "ring", "p_min": 2, "p_max": 4294967298},
+      {"op": "allreduce", "algo": "ring", "p_min": 2147483648},
+      {"op": "allreduce", "algo": "linear", "p_max": 2147483647}
+    ]
+  })");
+  EXPECT_TRUE(r.ok);
+  ASSERT_EQ(r.warnings.size(), 2u);
+  EXPECT_NE(r.warnings[0].find("collectives[0]: field 'p_max' = 4294967298 exceeds"),
+            std::string::npos)
+      << r.warnings[0];
+  EXPECT_NE(r.warnings[1].find("collectives[1]: field 'p_min' = 2147483648 exceeds"),
+            std::string::npos)
+      << r.warnings[1];
+  ASSERT_EQ(r.profile.tunables.coll_rules.size(), 1u);
+  EXPECT_EQ(r.profile.tunables.coll_rules[0].p_max, std::numeric_limits<int>::max());
+  EXPECT_EQ(r.profile.tunables.coll_algo(pt::CollOp::kAllreduce, 8, 64),
+            pt::CollAlgo::kLinear);
 }
 
 TEST(TuneProfile, RoundTripPreservesEverything) {
   pt::Profile p;
   p.isa = "avx2";
   p.tuned_for = "round-trip test";
-  p.tunables.parallel_for_grain = 4096;
-  p.tunables.gemm_mr = 8;
-  p.tunables.gemm_nr = 4;
-  p.tunables.distance_block_rows = 32;
-  p.tunables.pool_max_parked = 16;
   pt::CollRule rule;
   rule.op = pt::CollOp::kAllreduce;
   rule.algo = pt::CollAlgo::kRecDouble;
@@ -426,17 +457,15 @@ TEST(TuneProfile, RoundTripPreservesEverything) {
   open_rule.algo = pt::CollAlgo::kLinear;
   p.tunables.coll_rules.push_back(open_rule);
 
-  const pt::LoadResult r = pt::parse_profile(pt::to_json(p));
+  const std::string json = pt::to_json(p);
+  EXPECT_NE(json.find("\"schema\": \"peachy-tune/2\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("tunables"), std::string::npos) << json;
+  const pt::LoadResult r = pt::parse_profile(json);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.warnings.empty()) << r.warnings.front();
   EXPECT_EQ(r.profile.isa, p.isa);
   EXPECT_EQ(r.profile.tuned_for, p.tuned_for);
   const pt::Tunables& t = r.profile.tunables;
-  EXPECT_EQ(t.parallel_for_grain, 4096u);
-  EXPECT_EQ(t.gemm_mr, 8);
-  EXPECT_EQ(t.gemm_nr, 4);
-  EXPECT_EQ(t.distance_block_rows, 32u);
-  EXPECT_EQ(t.pool_max_parked, 16u);
   ASSERT_EQ(t.coll_rules.size(), 2u);
   EXPECT_EQ(t.coll_rules[0].op, pt::CollOp::kAllreduce);
   EXPECT_EQ(t.coll_rules[0].algo, pt::CollAlgo::kRecDouble);
@@ -444,6 +473,8 @@ TEST(TuneProfile, RoundTripPreservesEverything) {
   EXPECT_EQ(t.coll_rules[0].p_max, 8);
   EXPECT_EQ(t.coll_rules[0].bytes_min, 1);
   EXPECT_EQ(t.coll_rules[0].bytes_max, 65536);
+  EXPECT_EQ(t.coll_rules[1].op, pt::CollOp::kBroadcast);
+  EXPECT_EQ(t.coll_rules[1].algo, pt::CollAlgo::kLinear);
   EXPECT_TRUE(t.coll_rules[1].byte_range_unconstrained());
 }
 
@@ -451,108 +482,137 @@ TEST(TuneProfile, FileRoundTrip) {
   pt::Profile p;
   p.isa = "scalar";
   p.tuned_for = "file round-trip";
-  p.tunables.distance_block_rows = 64;
+  pt::CollRule rule;
+  rule.op = pt::CollOp::kAllgather;
+  rule.algo = pt::CollAlgo::kRecDouble;
+  rule.p_min = 4;
+  rule.p_max = 4;
+  p.tunables.coll_rules.push_back(rule);
   const std::string path = ::testing::TempDir() + "/peachy_tune_roundtrip.json";
   ASSERT_TRUE(pt::write_profile_file(p, path));
   const pt::LoadResult r = pt::load_profile_file(path);
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.warnings.empty());
   EXPECT_EQ(r.profile.isa, "scalar");
-  EXPECT_EQ(r.profile.tunables.distance_block_rows, 64u);
+  ASSERT_EQ(r.profile.tunables.coll_rules.size(), 1u);
+  EXPECT_EQ(r.profile.tunables.coll_rules[0].op, pt::CollOp::kAllgather);
+  EXPECT_EQ(r.profile.tunables.coll_rules[0].algo, pt::CollAlgo::kRecDouble);
+  EXPECT_EQ(r.profile.tunables.coll_rules[0].p_min, 4);
+  EXPECT_EQ(r.profile.tunables.coll_rules[0].p_max, 4);
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// Tunable kernel constants: every legal setting is bit-identical to the
-// scalar reference twins.
+// Mutation fuzz: parse_profile is a trust boundary (PEACHY_TUNE names any
+// file).  Seeded byte flips, truncations, splices, duplicate keys and
+// extreme numbers over the committed profile must never throw, and must
+// either reject the document with a warning or load only well-formed
+// rules.
 
-TEST(TuneKernels, GemmBitIdenticalAcrossRegisterTiles) {
-  const ActiveGuard guard;
-  const std::size_t n = 23, k = 17, m = 29;  // forces every tail path
-  std::vector<double> a(n * k), b(k * m);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = 0.25 + 1e-3 * static_cast<double>(i % 97);
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = -0.5 + 1e-3 * static_cast<double>(i % 89);
-  std::vector<double> want(n * m, 1.0);
-  pk::ref::gemm_block(a.data(), b.data(), want.data(), n, k, m);
-  for (const auto& [mr, nr] :
-       std::vector<std::pair<int, int>>{{4, 8}, {2, 8}, {4, 4}, {8, 4}}) {
-    pt::Tunables t;
-    t.gemm_mr = mr;
-    t.gemm_nr = nr;
-    pt::set_active(t);
-    std::vector<double> got(n * m, 1.0);
-    pk::gemm_block(a.data(), b.data(), got.data(), n, k, m);
-    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(double)))
-        << "tile " << mr << "x" << nr;
-  }
+namespace {
+
+std::string committed_profile() {
+  std::ifstream in{std::string{PEACHY_SOURCE_DIR} + "/TUNE_profile.json", std::ios::binary};
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
-TEST(TuneKernels, DistanceTileBitIdenticalAcrossRowBlocking) {
-  const ActiveGuard guard;
-  const std::size_t n = 37, d = 7, kcount = 13;
-  const std::size_t kp = pk::padded_count(kcount);
-  std::vector<double> pts(n * d), panel(kp * d, 1e30);  // sentinel padding
-  for (std::size_t i = 0; i < pts.size(); ++i) pts[i] = 0.1 * static_cast<double>(i % 31);
-  for (std::size_t g = 0; g * pk::kPanelLane < kp; ++g) {
-    for (std::size_t j = 0; j < d; ++j) {
-      for (std::size_t lane = 0; lane < pk::kPanelLane; ++lane) {
-        const std::size_t c = g * pk::kPanelLane + lane;
-        if (c < kcount) {
-          panel[(g * d + j) * pk::kPanelLane + lane] = 0.2 * static_cast<double>((c + j) % 23);
+/// Applies one seeded mutation to `doc`.
+void mutate(std::string& doc, const std::string& original, std::mt19937_64& rng) {
+  static const char* const kNumbers[] = {
+      "-1", "0", "-0", "1.5", "1e308", "2147483647", "2147483648", "4294967298",
+      "9223372036854775807", "-9223372036854775808", "9223372036854775808",
+      "99999999999999999999999"};
+  static const char* const kKeys[] = {"op", "algo", "p_min", "p_max", "bytes_min",
+                                      "bytes_max", "schema", "collectives"};
+  static const char* const kValues[] = {"\"allreduce\"", "\"ring\"", "\"nope\"", "-5",
+                                        "4294967298", "null", "[]", "{}", "\"peachy-tune/2\""};
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto pos = [&]() { return pick(doc.size() + 1); };
+  switch (pick(5)) {
+    case 0:  // byte flip
+      if (!doc.empty()) doc[pick(doc.size())] ^= static_cast<char>(1 + pick(255));
+      break;
+    case 1:  // truncation
+      doc.resize(pos());
+      break;
+    case 2: {  // splice a slice of the original somewhere
+      const std::size_t from = pick(original.size());
+      const std::size_t len = pick(original.size() - from + 1);
+      doc.insert(pos(), original, from, len);
+      break;
+    }
+    case 3: {  // duplicate key right after an opening brace (first match wins)
+      std::vector<std::size_t> braces;
+      for (std::size_t i = 0; i < doc.size(); ++i) {
+        if (doc[i] == '{') braces.push_back(i);
+      }
+      if (braces.empty()) break;
+      const std::string kv = std::string{"\""} + kKeys[pick(std::size(kKeys))] +
+                             "\": " + kValues[pick(std::size(kValues))] + ", ";
+      doc.insert(braces[pick(braces.size())] + 1, kv);
+      break;
+    }
+    default: {  // replace a number token with an extreme one
+      std::vector<std::pair<std::size_t, std::size_t>> numbers;
+      for (std::size_t i = 0; i < doc.size();) {
+        if (std::isdigit(static_cast<unsigned char>(doc[i])) != 0) {
+          const std::size_t b = i;
+          while (i < doc.size() && std::isdigit(static_cast<unsigned char>(doc[i])) != 0) ++i;
+          numbers.emplace_back(b, i - b);
+        } else {
+          ++i;
         }
       }
+      if (numbers.empty()) break;
+      const auto [b, len] = numbers[pick(numbers.size())];
+      doc.replace(b, len, kNumbers[pick(std::size(kNumbers))]);
+      break;
     }
-  }
-  std::vector<double> want(n * kcount, 0.0);
-  pk::ref::squared_distances_tile(pts.data(), n, d, panel.data(), kcount, kp, want.data());
-  for (const std::size_t block : {std::size_t{0}, std::size_t{3}, std::size_t{32},
-                                  std::size_t{1000}}) {
-    pt::Tunables t;
-    t.distance_block_rows = block;
-    pt::set_active(t);
-    std::vector<double> got(n * kcount, 0.0);
-    pk::squared_distances_tile(pts.data(), n, d, panel.data(), kcount, kp, got.data());
-    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.size() * sizeof(double)))
-        << "block=" << block;
   }
 }
 
-TEST(TunePool, ParkingBoundZeroDisablesReuse) {
-  const ActiveGuard guard;
-  pm::BufferPool& pool = pm::BufferPool::instance();
-  pool.trim();
-  pt::Tunables t;
-  t.pool_max_parked = 0;
-  pt::set_active(t);
-  { const pm::PayloadBuffer b = pool.acquire(1024); }
-  { const pm::PayloadBuffer b = pool.acquire(1024); }
-  EXPECT_EQ(pool.stats().free_bytes, 0u);  // nothing parked at bound 0
+}  // namespace
 
-  pt::set_active(pt::defaults());
-  const std::uint64_t hits_before = pool.stats().hits;
-  { const pm::PayloadBuffer b = pool.acquire(1024); }  // parks on release
-  { const pm::PayloadBuffer b = pool.acquire(1024); }  // freelist hit
-  EXPECT_GT(pool.stats().hits, hits_before);
-  pool.trim();
-}
+TEST(TuneProfileFuzz, SeededMutationsNeverThrowOrLoadMalformedRules) {
+  const std::string original = committed_profile();
+  ASSERT_FALSE(original.empty()) << "cannot read TUNE_profile.json";
+  const pt::LoadResult base = pt::parse_profile(original);
+  ASSERT_TRUE(base.ok);
+  ASSERT_TRUE(base.warnings.empty()) << base.warnings.front();
+  ASSERT_FALSE(base.profile.tunables.coll_rules.empty());
 
-// ---------------------------------------------------------------------------
-// Grain plumbing: a profile-set grain actually moves the inline/dispatch
-// crossover (observable through identical results either way — this just
-// pins that the knob is read, via the explicit-grain opt-out still
-// working and results matching across settings).
-
-TEST(TuneGrain, ParallelForCorrectUnderProfileGrain) {
-  const ActiveGuard guard;
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{100000}}) {
-    pt::Tunables t;
-    t.parallel_for_grain = grain;
-    pt::set_active(t);
-    std::vector<int> hits(3000, 0);
-    peachy::support::parallel_for(peachy::support::ThreadPool::shared(), 0, hits.size(),
-                                  [&](std::size_t i) { hits[i] = static_cast<int>(i % 7); });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i], static_cast<int>(i % 7));
+  std::mt19937_64 rng{20231112};
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string doc = original;
+    const int mutations = 1 + static_cast<int>(rng() % 3);
+    for (int m = 0; m < mutations; ++m) mutate(doc, original, rng);
+    pt::LoadResult r;
+    ASSERT_NO_THROW(r = pt::parse_profile(doc)) << "iter " << iter << ":\n" << doc;
+    if (!r.ok) {
+      ASSERT_FALSE(r.warnings.empty()) << "iter " << iter << ":\n" << doc;
+      ASSERT_TRUE(r.profile.tunables.coll_rules.empty()) << "iter " << iter;
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    for (const pt::CollRule& rule : r.profile.tunables.coll_rules) {
+      const int op = static_cast<int>(rule.op);
+      const int algo = static_cast<int>(rule.algo);
+      ASSERT_TRUE(op >= 0 && op < pt::kCollOpCount) << "iter " << iter << ":\n" << doc;
+      ASSERT_TRUE(algo >= 0 && algo <= static_cast<int>(pt::CollAlgo::kRecDouble))
+          << "iter " << iter << ":\n" << doc;
+      ASSERT_GE(rule.p_min, 0) << "iter " << iter << ":\n" << doc;
+      ASSERT_LE(rule.p_min, rule.p_max) << "iter " << iter << ":\n" << doc;
+      ASSERT_GE(rule.bytes_min, 0) << "iter " << iter << ":\n" << doc;
+      ASSERT_LE(rule.bytes_min, rule.bytes_max) << "iter " << iter << ":\n" << doc;
     }
   }
+  // Both outcomes must actually occur, or the mutations are not reaching
+  // the parser's interesting paths.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }

@@ -1,21 +1,20 @@
 /// \file peachy_tune.cpp
 /// \brief peachy-tune — offline autotuner for the peachy::tune profile.
 ///
-/// Benchmarks the tunable-constant and collective-algorithm space on the
-/// host it runs on and persists the winners as a versioned peachy-tune/1
-/// JSON profile (loaded at startup via PEACHY_TUNE=<file>, or per run
-/// via mpi::RunOptions::tunables).
+/// Benchmarks the collective-algorithm space on the host it runs on and
+/// persists the winners as a versioned peachy-tune/2 JSON profile of
+/// selection rules (loaded at startup via PEACHY_TUNE=<file>, or per run
+/// via mpi::RunOptions::tunables).  The scalar constants of the other
+/// layers (parallel_for grain, gemm register tile, BufferPool parking
+/// bound) are compiled in and are not tuned here.
 ///
 /// The search engine is peachy::hpo's successive halving — the same
 /// kill-the-bottom-half economics the HPO assignment teaches, pointed at
 /// configurations instead of models: every round re-measures the
 /// survivors with twice the repetitions, so cheap noisy screening
 /// eliminates losers early and the deep low-variance timings are spent
-/// only on finalists.  Scalar dimensions (parallel_for grain, gemm
-/// register tile, distance panel blocking, buffer-pool parking bound)
-/// are tuned by coordinate descent — one halving run per dimension, each
-/// against the best-so-far snapshot; collective algorithms are tuned per
-/// (op, p, size band) cell and emitted as selection rules.
+/// only on finalists.  Collective algorithms are tuned per (op, p, size
+/// band) cell and emitted as selection rules.
 ///
 /// Usage:
 ///   peachy-tune [--out FILE] [--p LIST] [--rounds N] [--reps N]
@@ -24,13 +23,12 @@
 ///   --out FILE   output profile path (default: peachy-tune.json)
 ///   --p LIST     comma-separated rank counts to tune collectives for
 ///                (default: 2,4,8)
-///   --rounds N   halving rounds per dimension (default: 3)
+///   --rounds N   halving rounds per cell (default: 3)
 ///   --reps N     round-0 repetitions; round r uses reps<<r (default: 2)
 ///   --quick      smoke-test sizes: tiny workloads, 2 rounds, 1 rep
 ///                (what scripts/check.sh tune-smoke runs)
 ///   --note STR   free-text stored as the profile's tuned_for field
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,8 +41,6 @@
 #include "hpo/halving.hpp"
 #include "kernels/kernels.hpp"
 #include "mpi/mpi.hpp"
-#include "support/parallel_for.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 #include "tune/tune.hpp"
 
@@ -77,26 +73,26 @@ constexpr double kKeepDefaultMargin = 0.9;
 
 /// Run one successive-halving search over `labels.size()` candidates and
 /// return the winning index.  `workload(i)` runs candidate i once; the
-/// score is best-of-reps wall nanoseconds.  A winner other than
-/// `default_index` must then confirm in a fresh head-to-head against the
-/// default at the deepest rep budget (both sides timed back to back, so
-/// they see the same machine conditions) and clear kKeepDefaultMargin —
-/// otherwise the default is kept.
-std::size_t tune_dimension(const char* what, const std::vector<std::string>& labels,
-                           std::size_t rounds, std::size_t base_reps, std::size_t default_index,
-                           const std::function<void(std::size_t)>& workload) {
+/// score is best-of-reps wall nanoseconds.  Candidate 0 is the compiled-
+/// in default.  Any other winner must then confirm in a fresh head-to-head
+/// against it at the deepest rep budget (both sides timed back to back,
+/// so they see the same machine conditions) and clear kKeepDefaultMargin
+/// — otherwise the default is kept.
+std::size_t tune_cell(const char* what, const std::vector<std::string>& labels,
+                      std::size_t rounds, std::size_t base_reps,
+                      const std::function<void(std::size_t)>& workload) {
   const ph::MeasuredHalvingResult r = ph::successive_halving_measured(
       labels.size(), rounds, base_reps, [&](std::size_t i, std::size_t reps) {
         return ps::time_best_of(reps, [&] { workload(i); }) * 1e9;
       });
   std::size_t best = r.final_ranking.front();
   const char* note = "";
-  if (best != default_index) {
+  if (best != 0) {
     const std::size_t reps = base_reps << (r.rounds - 1);
     const double challenger = ps::time_best_of(reps, [&] { workload(best); }) * 1e9;
-    const double incumbent = ps::time_best_of(reps, [&] { workload(default_index); }) * 1e9;
+    const double incumbent = ps::time_best_of(reps, [&] { workload(0); }) * 1e9;
     if (challenger > kKeepDefaultMargin * incumbent) {
-      best = default_index;
+      best = 0;
       note = "  [kept default: within noise margin]";
     }
   }
@@ -108,113 +104,6 @@ std::size_t tune_dimension(const char* what, const std::vector<std::string>& lab
   }
   std::printf(")%s\n", note);
   return best;
-}
-
-// ---------------------------------------------------------------------------
-// Scalar dimensions.  Each workload installs its candidate into the
-// process-wide active snapshot (how the substrate reads these knobs at
-// runtime), runs a representative kernel, and restores nothing: the next
-// candidate overwrites it, and the winner is re-installed at the end.
-
-void tune_parallel_for_grain(pt::Tunables& best, const Options& opt) {
-  const std::vector<std::size_t> cand{512, 1024, 2048, 4096, 8192};
-  std::vector<std::string> labels;
-  for (const std::size_t g : cand) labels.push_back(std::to_string(g));
-  // Mix of loop lengths straddling the dispatch crossover, with a body
-  // cheap enough that dispatch overhead is what the grain decides.
-  const std::vector<std::size_t> loop_ns =
-      opt.quick ? std::vector<std::size_t>{128, 1024} : std::vector<std::size_t>{128, 512, 2048, 8192};
-  std::vector<double> data(8192, 1.0);
-  ps::ThreadPool& pool = ps::ThreadPool::shared();
-  const std::size_t default_i = 2;  // 2048 == tune::defaults().parallel_for_grain
-  const std::size_t best_i = tune_dimension(
-      "parallel_for_grain", labels, opt.rounds, opt.base_reps, default_i, [&](std::size_t i) {
-        pt::Tunables t = best;
-        t.parallel_for_grain = cand[i];
-        pt::set_active(t);
-        double acc = 0.0;
-        for (const std::size_t n : loop_ns) {
-          ps::parallel_for(pool, 0, n, [&](std::size_t j) { data[j] = data[j] * 0.5 + 1.0; });
-          acc += data[n / 2];
-        }
-        g_sink += acc;
-      });
-  best.parallel_for_grain = cand[best_i];
-}
-
-void tune_gemm_tile(pt::Tunables& best, const Options& opt) {
-  const std::vector<std::pair<int, int>> cand{{4, 8}, {2, 8}, {4, 4}, {8, 4}};
-  std::vector<std::string> labels;
-  for (const auto& [mr, nr] : cand) {
-    labels.push_back(std::to_string(mr) + "x" + std::to_string(nr));
-  }
-  const std::size_t n = opt.quick ? 64 : 160;
-  std::vector<double> a(n * n, 1.0 / 3.0), b(n * n, 1.0 / 7.0), c(n * n, 0.0);
-  const std::size_t best_i = tune_dimension(
-      "gemm_tile", labels, opt.rounds, opt.base_reps, /*default_index=*/0, [&](std::size_t i) {
-        pt::Tunables t = best;
-        t.gemm_mr = cand[i].first;
-        t.gemm_nr = cand[i].second;
-        pt::set_active(t);
-        pk::gemm_block(a.data(), b.data(), c.data(), n, n, n);
-        g_sink += c[0];
-      });
-  best.gemm_mr = cand[best_i].first;
-  best.gemm_nr = cand[best_i].second;
-}
-
-void tune_distance_block(pt::Tunables& best, const Options& opt) {
-  const std::vector<std::size_t> cand{0, 16, 32, 64, 128};
-  std::vector<std::string> labels;
-  for (const std::size_t r : cand) labels.push_back(r == 0 ? "unblocked" : std::to_string(r));
-  // Big panel (k centroids × d coords) so blocking has cache pressure to
-  // relieve; row count large enough to expose the reuse.
-  const std::size_t n = opt.quick ? 128 : 1024;
-  const std::size_t d = 16;
-  const std::size_t k = opt.quick ? 64 : 512;
-  const std::size_t kp = pk::padded_count(k);
-  std::vector<double> pts(n * d, 0.25), panel(kp * d, 0.75), out(n * k, 0.0);
-  const std::size_t best_i = tune_dimension(
-      "distance_block_rows", labels, opt.rounds, opt.base_reps, /*default_index=*/0,
-      [&](std::size_t i) {
-        pt::Tunables t = best;
-        t.distance_block_rows = cand[i];
-        pt::set_active(t);
-        pk::squared_distances_tile(pts.data(), n, d, panel.data(), k, kp, out.data());
-        g_sink += out[0];
-      });
-  best.distance_block_rows = cand[best_i];
-}
-
-void tune_pool_parking(pt::Tunables& best, const Options& opt) {
-  const std::vector<std::size_t> cand{8, 16, 32, 64, 128};
-  std::vector<std::string> labels;
-  for (const std::size_t m : cand) labels.push_back(std::to_string(m));
-  // Bursty exchange: every rank posts a window of medium messages before
-  // draining, so the per-class freelists see real parking pressure.
-  const int rounds = opt.quick ? 2 : 12;
-  const std::size_t msg = opt.quick ? 256 : 4096;
-  const std::size_t default_i = 3;  // 64 == tune::defaults().pool_max_parked
-  const std::size_t best_i = tune_dimension(
-      "pool_max_parked", labels, opt.rounds, opt.base_reps, default_i, [&](std::size_t i) {
-        pt::Tunables t = best;
-        t.pool_max_parked = cand[i];
-        pt::set_active(t);
-        pm::run(2, [rounds, msg](pm::Comm& comm) {
-          const int peer = 1 - comm.rank();
-          const std::vector<double> block(msg, 1.0);
-          for (int r = 0; r < rounds; ++r) {
-            for (int w = 0; w < 4; ++w) {
-              comm.send<double>(peer, 11 + w, std::span<const double>{block});
-            }
-            for (int w = 0; w < 4; ++w) {
-              const auto got = comm.recv<double>(peer, 11 + w);
-              g_sink += got.back();
-            }
-          }
-        });
-      });
-  best.pool_max_parked = cand[best_i];
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +133,7 @@ std::vector<pt::CollAlgo> coll_candidates(pt::CollOp op, int ranks) {
 
 /// Run `rounds` collectives of `op` on `ranks` ranks with n doubles under
 /// a tunables snapshot that forces `algo` for the op (passed through
-/// RunOptions — no global state involved, unlike the scalar knobs).
+/// RunOptions — no global state involved).
 void run_coll_once(pt::CollOp op, pt::CollAlgo algo, int ranks, std::size_t n, int rounds) {
   pt::Tunables t;
   pt::CollRule rule;
@@ -303,8 +192,8 @@ void tune_collectives(pt::Tunables& best, const Options& opt) {
         for (const pt::CollAlgo a : cand) labels.push_back(pt::coll_algo_name(a));
         const std::string what = std::string{pt::coll_op_name(op)} + " p=" +
                                  std::to_string(p) + " n=" + std::to_string(n);
-        const std::size_t best_i = tune_dimension(
-            what.c_str(), labels, opt.rounds, opt.base_reps, /*default_index=*/0,
+        const std::size_t best_i = tune_cell(
+            what.c_str(), labels, opt.rounds, opt.base_reps,
             [&](std::size_t i) { run_coll_once(op, cand[i], p, n, rounds_per_run); });
         if (cand[best_i] == pt::CollAlgo::kAuto) continue;  // default wins: no rule
         pt::CollRule rule;
@@ -393,18 +282,9 @@ int main(int argc, char** argv) {
   std::printf("peachy-tune: successive-halving autotune (isa=%s%s)\n", isa,
               opt.quick ? ", quick" : "");
 
-  pt::Tunables best = pt::defaults();
-  std::printf("tunable constants:\n");
-  tune_parallel_for_grain(best, opt);
-  tune_gemm_tile(best, opt);
-  tune_distance_block(best, opt);
-  tune_pool_parking(best, opt);
+  pt::Tunables best;
   std::printf("collective algorithms:\n");
   tune_collectives(best, opt);
-
-  // Leave the process-wide snapshot on the winner (the scalar-dimension
-  // workloads left the last candidate installed).
-  pt::set_active(best);
 
   pt::Profile profile;
   profile.isa = isa;
