@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Compare a fresh bench_kernels run against the committed baseline.
+"""Compare a fresh bench run against the committed baseline.
 
-Both inputs are "peachy-bench/1" JSON documents.  Rows are matched by
-(name, shape); for each match the ratio fresh_kernel_ns / base_kernel_ns
-is computed, and the gate is the *geometric mean* of those ratios —
-individual rows are noisy at small sizes, but the geomean over the whole
-suite is stable, so a real regression (e.g. a hook that stopped being
-branch-predicted away) moves it while scheduler jitter does not.
+All inputs are "peachy-bench/1" JSON documents.  Given several fresh
+files (consecutive sweeps of the same harness), each (name, shape) row
+takes the minimum kernel_ns across them first: a single sweep's floor
+drifts on a busy host, the per-row min of a few sweeps does not.  A row
+missing from any one sweep is an input error.  Rows are then matched
+against the baseline by (name, shape); for each match the ratio
+fresh_kernel_ns / base_kernel_ns is computed, and the gate is the
+*geometric mean* of those ratios — individual rows are noisy at small
+sizes, but the geomean over the whole suite is stable, so a real
+regression (e.g. a hook that stopped being branch-predicted away) moves
+it while scheduler jitter does not.
 
 Exit codes: 0 pass, 1 regression beyond tolerance, 2 usage/input error.
 """
@@ -51,10 +56,34 @@ def load(path):
     return doc, rows
 
 
+def min_merge(paths):
+    """Load every fresh sweep and keep the per-row minimum kernel_ns."""
+    docs = [load(p) for p in paths]
+    first_doc, merged = docs[0]
+    for path, (doc, rows) in zip(paths[1:], docs[1:]):
+        if doc.get("tiny") != first_doc.get("tiny"):
+            fail(f"{path}: tiny={doc.get('tiny')}, but {paths[0]} has "
+                 f"tiny={first_doc.get('tiny')}; sweeps must use the same sizes")
+        missing = sorted(merged.keys() ^ rows.keys())
+        if missing:
+            key = missing[0]
+            where = path if key in merged else paths[0]
+            fail(f"row {key} is missing from {where}; every fresh sweep "
+                 "must produce the same rows")
+        for key, row in rows.items():
+            a, b = merged[key].get("kernel_ns"), row.get("kernel_ns")
+            if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
+                fail(f"missing kernel_ns for {key} in {paths[0]} or {path}")
+            merged[key] = dict(merged[key], kernel_ns=min(a, b))
+    return first_doc, merged
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="committed baseline JSON")
-    ap.add_argument("fresh", help="freshly produced JSON")
+    ap.add_argument("fresh", nargs="+",
+                    help="freshly produced JSON; several sweeps are "
+                         "min-merged per row before the comparison")
     ap.add_argument("--tolerance", type=float, default=0.02,
                     help="allowed geomean slowdown, fractional "
                          "(default 0.02 = 2%%)")
@@ -68,7 +97,9 @@ def main():
     args = ap.parse_args()
 
     base_doc, base = load(args.baseline)
-    fresh_doc, fresh = load(args.fresh)
+    fresh_doc, fresh = min_merge(args.fresh)
+    if len(args.fresh) > 1:
+        print(f"min-merged {len(args.fresh)} sweeps per (name, shape) row")
 
     if base_doc.get("tiny") != fresh_doc.get("tiny"):
         fail("baseline and fresh runs used different sizes "

@@ -42,10 +42,11 @@
 #               — Release tests + examples tree; runs the cross-backend
 #                 conformance suite (test_transport) and the shm-ring
 #                 stress suite (test_transport_stress: wraparound +
-#                 spill exhaustion under concurrent posters, crashed
-#                 producer mid-slot), forces the full mpi/faults test
-#                 matrix onto the shm and socket wires via
-#                 PEACHY_TRANSPORT, re-runs both suites under ASan, and
+#                 spill exhaustion under concurrent posters, a
+#                 66-process world, crashed producer mid-slot, truncated
+#                 and mutated segments at attach), forces the full
+#                 mpi/faults test matrix onto the shm and socket wires
+#                 via PEACHY_TRANSPORT, re-runs both suites under ASan, and
 #                 drives the genuinely multi-process fault demo (a real
 #                 SIGKILL of a rank process over each wire transport,
 #                 plus a peachy-launch end-to-end run)
@@ -380,7 +381,7 @@ run_transport_smoke() {
     fault_demo peachy-launch -j "$JOBS"
   echo "==== [transport-smoke] cross-backend conformance suite ===="
   "$dir/tests/test_transport"
-  echo "==== [transport-smoke] shm ring stress suite (fast + locked) ===="
+  echo "==== [transport-smoke] shm ring stress suite ===="
   "$dir/tests/test_transport_stress"
   echo "==== [transport-smoke] full mpi + faults matrix on each wire backend ===="
   for transport in shm socket; do
@@ -477,25 +478,11 @@ EOF
   # geomean — the bench_kernels --repeat min-merge trick, applied across
   # whole runs because the drift here outlives any one run.  A real
   # regression shifts every sweep's floor and still trips the gate.
-  local fresh="$dir/bench/BENCH_transport_fresh.json"
   for i in 1 2 3; do
     "$dir/bench/bench_transport" --out "$dir/bench/BENCH_transport_fresh.$i.json" --repeat 9
   done
-  python3 - "$fresh" "$dir"/bench/BENCH_transport_fresh.[123].json <<'EOF'
-import json, sys
-out_path, paths = sys.argv[1], sys.argv[2:]
-docs = [json.load(open(p)) for p in paths]
-merged = docs[0]
-for row in merged["benchmarks"]:
-    for d in docs[1:]:
-        other = next(r for r in d["benchmarks"] if r["name"] == row["name"])
-        row["kernel_ns"] = min(row["kernel_ns"], other["kernel_ns"])
-with open(out_path, "w") as f:
-    json.dump(merged, f)
-print(f"min-merged {len(paths)} sweeps -> {out_path}")
-EOF
-  python3 "$ROOT/scripts/bench_compare.py" \
-    "$ROOT/BENCH_transport.json" "$fresh" --filter '_inproc' --tolerance 0.02
+  python3 "$ROOT/scripts/bench_compare.py" "$ROOT/BENCH_transport.json" \
+    "$dir"/bench/BENCH_transport_fresh.[123].json --filter '_inproc' --tolerance 0.02
   echo "==== [transport-bench-smoke] OK ===="
 }
 
@@ -565,25 +552,11 @@ run_chaos_smoke() {
   cmake --build "$bdir" --target bench_transport -j "$JOBS"
   # Same three-sweep per-row min-merge as transport-bench-smoke: single
   # sweeps drift 10-20% per row on a busy host; the min of three does not.
-  local fresh="$bdir/bench/BENCH_transport_chaos.json"
   for i in 1 2 3; do
     "$bdir/bench/bench_transport" --out "$bdir/bench/BENCH_transport_chaos.$i.json" --repeat 9
   done
-  python3 - "$fresh" "$bdir"/bench/BENCH_transport_chaos.[123].json <<'EOF'
-import json, sys
-out_path, paths = sys.argv[1], sys.argv[2:]
-docs = [json.load(open(p)) for p in paths]
-merged = docs[0]
-for row in merged["benchmarks"]:
-    for d in docs[1:]:
-        other = next(r for r in d["benchmarks"] if r["name"] == row["name"])
-        row["kernel_ns"] = min(row["kernel_ns"], other["kernel_ns"])
-with open(out_path, "w") as f:
-    json.dump(merged, f)
-print(f"min-merged {len(paths)} sweeps -> {out_path}")
-EOF
-  python3 "$ROOT/scripts/bench_compare.py" \
-    "$ROOT/BENCH_transport.json" "$fresh" --tolerance 0.02
+  python3 "$ROOT/scripts/bench_compare.py" "$ROOT/BENCH_transport.json" \
+    "$bdir"/bench/BENCH_transport_chaos.[123].json --tolerance 0.02
   echo "==== [chaos-smoke] OK ===="
 }
 

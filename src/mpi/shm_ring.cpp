@@ -3,11 +3,9 @@
 #include <array>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
-#include <string_view>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -40,17 +38,41 @@ constexpr std::size_t kAlign = 64;
 /// broadcast-per-operation regime.
 constexpr int kSpinIters = 128;
 
-[[nodiscard]] constexpr std::size_t align_up(std::size_t v, std::size_t a) noexcept {
-  return (v + a - 1) / a * a;
+template <typename T>
+[[nodiscard]] constexpr T align_up(T v) noexcept {
+  return (v + (kAlign - 1)) / kAlign * kAlign;
 }
 
-[[nodiscard]] std::size_t ring_stride(std::size_t spill_bytes) noexcept {
-  return align_up(sizeof(ShmRing), kAlign) + align_up(spill_bytes, kAlign);
+// Byte offsets of the layout drawn in shm_ring.hpp.  A validated view
+// evaluates them in size_t; sizing a segment from untrusted header
+// fields evaluates them in 128 bits, where nprocs < 2^32 and
+// spill_bytes < 2^64 keep every term exact, so the caller can
+// range-check the result instead of trusting a wrapped one.
+__extension__ typedef unsigned __int128 Wide;
+
+constexpr std::size_t kProcsOffset = align_up(sizeof(ShmSegHeader));
+constexpr std::size_t kClaimsOffset = align_up(sizeof(ShmRing));  ///< within a ring's stride
+
+template <typename T>
+[[nodiscard]] constexpr T rings_offset(T nprocs) noexcept {
+  return T{kProcsOffset} + align_up(nprocs * T{sizeof(ShmProc)});
 }
 
-[[nodiscard]] std::size_t ring_offset(int proc, std::size_t spill_bytes) noexcept {
-  return align_up(sizeof(ShmSegHeader), kAlign) +
-         static_cast<std::size_t>(proc) * ring_stride(spill_bytes);
+/// Spill arena offset within a ring's stride: past the ring and its
+/// nprocs + 1 claim registers.
+template <typename T>
+[[nodiscard]] constexpr T spill_offset(T nprocs) noexcept {
+  return T{kClaimsOffset} + align_up((nprocs + 1) * T{sizeof(std::atomic<std::uint64_t>)});
+}
+
+template <typename T>
+[[nodiscard]] constexpr T ring_stride(T nprocs, T spill_bytes) noexcept {
+  return spill_offset(nprocs) + align_up(spill_bytes);
+}
+
+template <typename T>
+[[nodiscard]] constexpr T segment_bytes(T nprocs, T spill_bytes) noexcept {
+  return rings_offset(nprocs) + nprocs * ring_stride(nprocs, spill_bytes);
 }
 
 void cpu_relax() noexcept {
@@ -67,9 +89,9 @@ void cpu_relax() noexcept {
 // issues FUTEX_WAKE, a waiter re-reads the generation before its final
 // condition check so a bump that races the check turns the wait into an
 // immediate EAGAIN instead of a lost wakeup.  All waits carry a 100ms
-// timeout — the same safety poll the locked protocol uses — so a wakeup
-// lost to a peer death costs one poll interval, never a hang.  The ops
-// are deliberately *not* FUTEX_PRIVATE: the words live in shared memory.
+// timeout, so a wakeup lost to a peer death costs one poll interval,
+// never a hang.  The ops are deliberately *not* FUTEX_PRIVATE: the words
+// live in shared memory.
 
 void count_futex_wait() noexcept {
   if (obs::enabled()) {
@@ -100,8 +122,8 @@ void futex_wake_all(std::atomic<std::uint32_t>* word) noexcept {
           nullptr, 0);
 }
 #else
-// Non-Linux never selects the fast protocol (shm_create falls back to
-// locked), so these exist only to keep the fast functions compiling.
+// No futex off Linux: parking degrades to a 1ms sleep-poll, and the
+// generation bumps that would wake a sleeper are simply polled for.
 void futex_wait(std::atomic<std::uint32_t>*, std::uint32_t) noexcept {
   timespec ts{0, 1'000'000};
   count_futex_wait();
@@ -192,30 +214,13 @@ void store_block(std::byte* spill, std::uint64_t off, FreeBlock b) noexcept {
 }
 
 /// Lock a ring mutex, absorbing the death of a previous owner.  The
-/// push/pop protocol commits state with the final head/tail bump (locked
-/// mode) or the slot seq publication (fast mode; the mutex then guards
-/// only the spill free list), so a lock recovered via EOWNERDEAD always
+/// mutex guards only the spill free list, and every free-list update is
+/// complete before the unlock, so a lock recovered via EOWNERDEAD always
 /// guards consistent data.
 void lock_robust(pthread_mutex_t* mu) {
   int rc = pthread_mutex_lock(mu);
   if (rc == EOWNERDEAD) rc = pthread_mutex_consistent(mu);
   PEACHY_CHECK(rc == 0, "shm ring: mutex lock failed (" + std::string{std::strerror(rc)} + ")");
-}
-
-/// ~100ms bounded wait: a wakeup lost to a peer death (no robust
-/// condvars exist) costs one poll interval, never a hang.
-void timed_wait(pthread_cond_t* cv, pthread_mutex_t* mu) {
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  ts.tv_nsec += 100'000'000;
-  if (ts.tv_nsec >= 1'000'000'000) {
-    ts.tv_nsec -= 1'000'000'000;
-    ++ts.tv_sec;
-  }
-  int rc = pthread_cond_timedwait(cv, mu, &ts);
-  if (rc == EOWNERDEAD) rc = pthread_mutex_consistent(mu);
-  PEACHY_CHECK(rc == 0 || rc == ETIMEDOUT,
-               "shm ring: condvar wait failed (" + std::string{std::strerror(rc)} + ")");
 }
 
 /// First-fit allocation from the offset-sorted free list.  Returns
@@ -290,10 +295,10 @@ void count_spill_hit() noexcept {
   }
 }
 
-/// Allocate a spill block as a fast-mode producer, parking on the
-/// producers' futex while the arena is exhausted.  Returns
-/// {kShmSpillNull, 0} only on give_up.
-[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> alloc_spill_fast(
+/// Allocate a spill block as a producer, parking on the producers'
+/// futex while the arena is exhausted.  Returns {kShmSpillNull, 0} only
+/// on give_up.
+[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> alloc_spill_waiting(
     ShmRing* r, std::byte* spill, std::uint64_t need, const std::atomic<bool>* give_up) {
   for (;;) {
     if (give_up != nullptr && give_up->load(std::memory_order_relaxed)) {
@@ -322,8 +327,8 @@ void count_spill_hit() noexcept {
   }
 }
 
-/// Process-local serialization of fast-mode pushes *from this process*
-/// into one ring: it makes the per-process claim register single-writer
+/// Process-local serialization of pushes *from this process* into one
+/// ring: it makes the per-process claim register single-writer
 /// (several rank threads of one process share one register) without any
 /// cross-process cost.  Hashed so unrelated rings rarely collide.
 std::mutex& local_push_mutex(const ShmRing* r) noexcept {
@@ -331,17 +336,213 @@ std::mutex& local_push_mutex(const ShmRing* r) noexcept {
   return mus[(reinterpret_cast<std::uintptr_t>(r) >> 6) % mus.size()];
 }
 
-// ---- fast protocol ----------------------------------------------------------
+/// The consumer found `pos` claimed (head moved past it) but
+/// unpublished.  Skip it iff the claim provably belongs to a dead
+/// process: the winning producer stored its register before the head
+/// CAS and clears it only after publication, so while the hole exists
+/// exactly the claimant's register names `pos`.  If every register
+/// naming `pos` belongs to a process whose `dead` flag is set — and a
+/// final seq re-check still shows no publication — the claimant died
+/// mid-slot and the slot is recycled (its spill block, if it got that
+/// far, leaks: bounded, and the world is about to shrink).  Any *live*
+/// register naming `pos` vetoes the skip — it may be the real claimant
+/// still copying.
+bool try_skip_dead_hole(const ShmView& view, int proc, ShmRing* r, ShmSlot* slot,
+                        std::uint64_t pos) {
+  const std::atomic<std::uint64_t>* claim = view.claims(proc);
+  bool dead_match = false;
+  for (int q = 0; q <= view.nprocs; ++q) {  // q == nprocs: the launcher
+    if (claim[q].load(std::memory_order_acquire) != pos) continue;
+    const bool dead =
+        q < view.nprocs && view.proc(q)->dead.load(std::memory_order_acquire) != 0;
+    if (!dead) return false;  // a live process names this position
+    dead_match = true;
+  }
+  if (!dead_match) return false;
+  // The claimant may have published and died before clearing its
+  // register; seeing the cleared/unchanged register above does not
+  // order against the seq store, so re-check before declaring a hole.
+  if (slot->seq.load(std::memory_order_acquire) != pos) return false;
+  slot->seq.store(pos + kShmRingSlots, std::memory_order_release);
+  r->tail.store(pos + 1, std::memory_order_relaxed);
+  if (obs::enabled()) {
+    static obs::Counter& c = obs::counter("mpi.transport.shm.holes_skipped");
+    c.add(1);
+  }
+  return true;
+}
 
-bool push_fast(const ShmView& view, int proc, int me, const FrameHeader& h,
+// ---- segment lifecycle ------------------------------------------------------
+
+void init_ring(const ShmView& view, int proc) {
+  ShmRing* r = view.ring(proc);
+  pthread_mutexattr_t ma;
+  PEACHY_CHECK(pthread_mutexattr_init(&ma) == 0, "shm ring: mutexattr init failed");
+  pthread_mutexattr_setpshared(&ma, PTHREAD_PROCESS_SHARED);
+  pthread_mutexattr_setrobust(&ma, PTHREAD_MUTEX_ROBUST);
+  PEACHY_CHECK(pthread_mutex_init(&r->mu, &ma) == 0, "shm ring: mutex init failed");
+  pthread_mutexattr_destroy(&ma);
+
+  r->head.store(0, std::memory_order_relaxed);
+  r->tail.store(0, std::memory_order_relaxed);
+  r->free_head = 0;
+  std::atomic<std::uint64_t>* claim = view.claims(proc);
+  for (int q = 0; q <= view.nprocs; ++q) claim[q].store(kShmClaimNone, std::memory_order_relaxed);
+  r->consumer_parked.store(0, std::memory_order_relaxed);
+  r->producers_parked.store(0, std::memory_order_relaxed);
+  r->futex_empty.store(0, std::memory_order_relaxed);
+  r->futex_full.store(0, std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kShmRingSlots; ++i) {
+    r->slots[i].seq.store(i, std::memory_order_relaxed);
+  }
+  store_block(view.spill(proc), 0, FreeBlock{view.spill_bytes, kShmSpillNull});
+}
+
+}  // namespace
+
+ShmProc* ShmView::proc(int p) const noexcept {
+  return reinterpret_cast<ShmProc*>(static_cast<std::byte*>(base) + kProcsOffset) + p;
+}
+
+ShmRing* ShmView::ring(int proc) const noexcept {
+  const std::size_t n = static_cast<std::size_t>(nprocs);
+  const std::size_t off =
+      rings_offset(n) + static_cast<std::size_t>(proc) * ring_stride(n, spill_bytes);
+  return reinterpret_cast<ShmRing*>(static_cast<std::byte*>(base) + off);
+}
+
+std::atomic<std::uint64_t>* ShmView::claims(int proc) const noexcept {
+  return reinterpret_cast<std::atomic<std::uint64_t>*>(reinterpret_cast<std::byte*>(ring(proc)) +
+                                                       kClaimsOffset);
+}
+
+std::byte* ShmView::spill(int proc) const noexcept {
+  return reinterpret_cast<std::byte*>(ring(proc)) + spill_offset(static_cast<std::size_t>(nprocs));
+}
+
+std::size_t shm_segment_bytes(int nprocs, std::size_t spill_bytes) {
+  PEACHY_CHECK(nprocs > 0, "shm segment: nprocs must be positive");
+  const Wide bytes = segment_bytes(Wide{static_cast<std::uint32_t>(nprocs)}, Wide{spill_bytes});
+  PEACHY_CHECK(bytes <= std::numeric_limits<std::size_t>::max(),
+               "shm segment: " + std::to_string(nprocs) + " procs with " +
+                   std::to_string(spill_bytes) + "-byte spill arenas overflow the address space");
+  return static_cast<std::size_t>(bytes);
+}
+
+ShmView shm_create(const std::string& name, int nprocs, std::size_t spill_bytes) {
+  const std::size_t bytes = shm_segment_bytes(nprocs, spill_bytes);
+  int fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+  if (fd < 0 && errno == EEXIST) {
+    // Leftover from a crashed earlier run with the same pid-derived
+    // name: reclaim it once rather than failing the launch.
+    shm_unlink(name.c_str());
+    fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+  }
+  PEACHY_CHECK(fd >= 0, "shm_create: shm_open('" + name + "') failed (" +
+                            std::string{std::strerror(errno)} + ")");
+  if (ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
+    const int err = errno;
+    close(fd);
+    shm_unlink(name.c_str());
+    PEACHY_CHECK(false, "shm_create: ftruncate to " + std::to_string(bytes) + " bytes failed (" +
+                            std::string{std::strerror(err)} + ")");
+  }
+  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  close(fd);
+  PEACHY_CHECK(base != MAP_FAILED,
+               "shm_create: mmap failed (" + std::string{std::strerror(errno)} + ")");
+
+  ShmView view{base, bytes, nprocs, spill_bytes};
+  ShmSegHeader* hdr = view.header();
+  hdr->nprocs = static_cast<std::uint32_t>(nprocs);
+  hdr->spill_bytes = spill_bytes;
+  for (int p = 0; p < nprocs; ++p) init_ring(view, p);
+  // Magic is written last: an attacher that sees it sees initialized rings.
+  hdr->magic = kShmMagic;
+  return view;
+}
+
+ShmView shm_attach(const std::string& name) {
+  const int fd = shm_open(name.c_str(), O_RDWR, 0);
+  PEACHY_CHECK(fd >= 0, "shm_attach: shm_open('" + name + "') failed (" +
+                            std::string{std::strerror(errno)} + ")");
+  struct stat st{};
+  const bool stat_ok = fstat(fd, &st) == 0;
+  if (!stat_ok || st.st_size < static_cast<off_t>(sizeof(ShmSegHeader))) {
+    close(fd);
+    PEACHY_CHECK(stat_ok, "shm_attach: fstat('" + name + "') failed");
+    PEACHY_CHECK(false, "shm_attach: '" + name + "' is " + std::to_string(st.st_size) +
+                            " bytes, too short for a segment header");
+  }
+  const std::size_t bytes = static_cast<std::size_t>(st.st_size);
+  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  close(fd);
+  PEACHY_CHECK(base != MAP_FAILED,
+               "shm_attach: mmap failed (" + std::string{std::strerror(errno)} + ")");
+
+  // Validate the header against the mapping before deriving a single
+  // address from it: every ring, claim and spill pointer is a function
+  // of (nprocs, spill_bytes), so a segment of the wrong length would
+  // hand out pointers past its end.
+  const ShmSegHeader hdr = *static_cast<const ShmSegHeader*>(base);
+  std::string bad;
+  if (hdr.magic != kShmMagic) {
+    bad = "is not a peachy shm segment";
+  } else if (hdr.nprocs == 0 ||
+             hdr.nprocs > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
+    bad = "names a world of " + std::to_string(hdr.nprocs) + " processes";
+  } else if (const Wide want = segment_bytes(Wide{hdr.nprocs}, Wide{hdr.spill_bytes});
+             want != bytes) {
+    const bool fits = want <= std::numeric_limits<std::size_t>::max();
+    bad = "is " + std::to_string(bytes) + " bytes, not the " +
+          (fits ? std::to_string(static_cast<std::size_t>(want)) : std::string{"> 2^64"}) +
+          " bytes a world of " + std::to_string(hdr.nprocs) + " processes with " +
+          std::to_string(hdr.spill_bytes) + "-byte spill arenas needs";
+  }
+  if (!bad.empty()) {
+    munmap(base, bytes);
+    PEACHY_CHECK(false, "shm_attach: '" + name + "' " + bad);
+  }
+  return ShmView{base, bytes, static_cast<int>(hdr.nprocs),
+                 static_cast<std::size_t>(hdr.spill_bytes)};
+}
+
+void shm_detach(ShmView& view) noexcept {
+  if (view.base != nullptr) munmap(view.base, view.bytes);
+  view = ShmView{};
+}
+
+void shm_mark_dead(const ShmView& view, int proc) noexcept {
+  if (proc < 0 || proc >= view.nprocs) return;
+  view.proc(proc)->dead.store(1, std::memory_order_release);
+  // Kick every consumer: one stuck on the victim's unpublished slot
+  // re-runs its dead-hole scan now instead of on the 100ms backstop.
+  for (int p = 0; p < view.nprocs; ++p) {
+    ShmRing* r = view.ring(p);
+    r->futex_empty.fetch_add(1, std::memory_order_relaxed);
+    futex_wake_all(&r->futex_empty);
+  }
+}
+
+bool ring_push(const ShmView& view, int proc, int me, const FrameHeader& h,
                const std::byte* payload, const std::atomic<bool>* give_up) {
+  PEACHY_CHECK(me >= 0 && me <= view.nprocs,
+               "ring_push: pusher index " + std::to_string(me) + " is outside 0.." +
+                   std::to_string(view.nprocs) + " (ranks, then the launcher)");
+  if (h.bytes > kShmInlineBytes) {
+    PEACHY_CHECK(round16(h.bytes) <= view.spill_bytes,
+                 "shm transport: " + std::to_string(h.bytes) +
+                     "-byte message exceeds the spillover arena (" +
+                     std::to_string(view.spill_bytes) + " bytes) and can never be delivered");
+  }
   ShmRing* r = view.ring(proc);
   std::byte* spill = view.spill(proc);
+  std::atomic<std::uint64_t>* claim = view.claims(proc);
 
   std::uint64_t spill_off = kShmSpillNull;
   std::uint64_t spill_cap = 0;
   if (h.bytes > kShmInlineBytes) {
-    const auto got = alloc_spill_fast(r, spill, round16(h.bytes), give_up);
+    const auto got = alloc_spill_waiting(r, spill, round16(h.bytes), give_up);
     if (got.first == kShmSpillNull) return false;
     spill_off = got.first;
     spill_cap = got.second;
@@ -372,7 +573,7 @@ bool push_fast(const ShmView& view, int proc, int me, const FrameHeader& h,
           // Claim register first, CAS second: the release CAS orders the
           // register store before the head bump, so any consumer that
           // observes head > pos can also observe who claimed pos.
-          r->claim[me].store(pos, std::memory_order_relaxed);
+          claim[me].store(pos, std::memory_order_relaxed);
           if (r->head.compare_exchange_weak(pos, pos + 1, std::memory_order_release,
                                             std::memory_order_relaxed)) {
             if (test_hooks::g_die_between_claim_and_publish.load(std::memory_order_relaxed)) {
@@ -385,7 +586,7 @@ bool push_fast(const ShmView& view, int proc, int me, const FrameHeader& h,
               std::memcpy(slot->inline_bytes, payload, h.bytes);
             }
             slot->seq.store(pos + 1, std::memory_order_release);  // the publication
-            r->claim[me].store(kShmClaimNone, std::memory_order_release);
+            claim[me].store(kShmClaimNone, std::memory_order_release);
             published = true;
             published_pos = pos;
             break;
@@ -393,7 +594,7 @@ bool push_fast(const ShmView& view, int proc, int me, const FrameHeader& h,
           // Lost the race; `pos` now holds the current head.  Clear the
           // register so a parked loser never pins the consumer's
           // dead-hole scan on a stale position.
-          r->claim[me].store(kShmClaimNone, std::memory_order_relaxed);
+          claim[me].store(kShmClaimNone, std::memory_order_relaxed);
           continue;
         }
         if (seq > pos) {  // stale head snapshot — someone claimed past us
@@ -433,43 +634,7 @@ bool push_fast(const ShmView& view, int proc, int me, const FrameHeader& h,
   }
 }
 
-/// The consumer found `pos` claimed (head moved past it) but
-/// unpublished.  Skip it iff the claim provably belongs to a dead
-/// process: the winning producer stored its register before the head
-/// CAS and clears it only after publication, so while the hole exists
-/// exactly the claimant's register names `pos`.  If every register
-/// naming `pos` belongs to a dead_mask process — and a final seq
-/// re-check still shows no publication — the claimant died mid-slot and
-/// the slot is recycled (its spill block, if it got that far, leaks:
-/// bounded, and the world is about to shrink).  Any *live* register
-/// naming `pos` vetoes the skip — it may be the real claimant still
-/// copying.
-bool try_skip_dead_hole(const ShmView& view, ShmRing* r, ShmSlot* slot, std::uint64_t pos) {
-  const std::uint64_t mask =
-      view.header()->dead_mask.load(std::memory_order_acquire);
-  if (mask == 0) return false;
-  bool dead_match = false;
-  for (int q = 0; q <= kShmLauncherProc; ++q) {
-    if (r->claim[q].load(std::memory_order_acquire) != pos) continue;
-    const bool dead = q < kShmMaxFastProcs && ((mask >> q) & 1U) != 0;
-    if (!dead) return false;  // a live process names this position
-    dead_match = true;
-  }
-  if (!dead_match) return false;
-  // The claimant may have published and died before clearing its
-  // register; seeing the cleared/unchanged register above does not
-  // order against the seq store, so re-check before declaring a hole.
-  if (slot->seq.load(std::memory_order_acquire) != pos) return false;
-  slot->seq.store(pos + kShmRingSlots, std::memory_order_release);
-  r->tail.store(pos + 1, std::memory_order_relaxed);
-  if (obs::enabled()) {
-    static obs::Counter& c = obs::counter("mpi.transport.shm.holes_skipped");
-    c.add(1);
-  }
-  return true;
-}
-
-bool consume_fast(const ShmView& view, int proc, const std::atomic<bool>& stop,
+bool ring_consume(const ShmView& view, int proc, const std::atomic<bool>& stop,
                   const std::function<void(const FrameHeader&, const std::byte*)>& consume,
                   bool* waited) {
   ShmRing* r = view.ring(proc);
@@ -488,7 +653,7 @@ bool consume_fast(const ShmView& view, int proc, const std::atomic<bool>& stop,
     did_wait = true;
     if (r->head.load(std::memory_order_acquire) > pos) {
       // Claimed but unpublished: a producer is mid-slot — or died there.
-      if (try_skip_dead_hole(view, r, slot, pos)) {
+      if (try_skip_dead_hole(view, proc, r, slot, pos)) {
         pos = r->tail.load(std::memory_order_relaxed);
         slot = &r->slots[pos % kShmRingSlots];
         continue;
@@ -517,260 +682,6 @@ bool consume_fast(const ShmView& view, int proc, const std::atomic<bool>& stop,
   wake_producers_if_was_full(r, pos);
   if (waited != nullptr) *waited = did_wait;
   return true;
-}
-
-// ---- locked protocol (the PEACHY_SHM_RING=locked fallback) ------------------
-
-bool push_locked(const ShmView& view, int proc, const FrameHeader& h, const std::byte* payload,
-                 const std::atomic<bool>* give_up) {
-  ShmRing* r = view.ring(proc);
-  std::byte* spill = view.spill(proc);
-
-  lock_robust(&r->mu);
-  ShmSlot* slot = nullptr;
-  for (;;) {
-    if (give_up != nullptr && give_up->load(std::memory_order_relaxed)) {
-      pthread_mutex_unlock(&r->mu);
-      return false;
-    }
-    const std::uint64_t head = r->head.load(std::memory_order_relaxed);
-    if (head - r->tail.load(std::memory_order_relaxed) < kShmRingSlots) {
-      slot = &r->slots[head % kShmRingSlots];
-      if (h.bytes <= kShmInlineBytes) {
-        if (h.bytes != 0) std::memcpy(slot->inline_bytes, payload, h.bytes);
-        slot->spill_off = kShmSpillNull;
-        slot->spill_cap = 0;
-        break;
-      }
-      const auto [off, cap] = alloc_spill(r, spill, round16(h.bytes));
-      if (off != kShmSpillNull) {
-        std::memcpy(spill + off, payload, h.bytes);
-        slot->spill_off = off;
-        slot->spill_cap = cap;
-        count_spill_hit();
-        break;
-      }
-    }
-    timed_wait(&r->not_full, &r->mu);
-  }
-  slot->hdr = h;
-  // The commit point: nothing above is visible until this bump.
-  r->head.fetch_add(1, std::memory_order_relaxed);
-  pthread_cond_broadcast(&r->not_empty);
-  pthread_mutex_unlock(&r->mu);
-  return true;
-}
-
-bool consume_locked(const ShmView& view, int proc, const std::atomic<bool>& stop,
-                    const std::function<void(const FrameHeader&, const std::byte*)>& consume,
-                    bool* waited) {
-  ShmRing* r = view.ring(proc);
-  std::byte* spill = view.spill(proc);
-  bool did_wait = false;
-
-  lock_robust(&r->mu);
-  while (r->head.load(std::memory_order_relaxed) == r->tail.load(std::memory_order_relaxed)) {
-    if (stop.load(std::memory_order_relaxed)) {
-      pthread_mutex_unlock(&r->mu);
-      if (waited != nullptr) *waited = did_wait;
-      return false;
-    }
-    did_wait = true;
-    timed_wait(&r->not_empty, &r->mu);
-  }
-  const std::uint64_t tail = r->tail.load(std::memory_order_relaxed);
-  ShmSlot* slot = &r->slots[tail % kShmRingSlots];
-  const FrameHeader h = slot->hdr;
-  const std::byte* src =
-      slot->spill_off == kShmSpillNull ? slot->inline_bytes : spill + slot->spill_off;
-  consume(h, src);
-  if (slot->spill_off != kShmSpillNull) free_spill(r, spill, slot->spill_off, slot->spill_cap);
-  r->tail.fetch_add(1, std::memory_order_relaxed);
-  pthread_cond_broadcast(&r->not_full);
-  pthread_mutex_unlock(&r->mu);
-  if (waited != nullptr) *waited = did_wait;
-  return true;
-}
-
-// ---- segment lifecycle ------------------------------------------------------
-
-void init_ring(ShmRing* r, std::byte* spill, std::uint64_t spill_bytes) {
-  pthread_mutexattr_t ma;
-  PEACHY_CHECK(pthread_mutexattr_init(&ma) == 0, "shm ring: mutexattr init failed");
-  pthread_mutexattr_setpshared(&ma, PTHREAD_PROCESS_SHARED);
-  pthread_mutexattr_setrobust(&ma, PTHREAD_MUTEX_ROBUST);
-  PEACHY_CHECK(pthread_mutex_init(&r->mu, &ma) == 0, "shm ring: mutex init failed");
-  pthread_mutexattr_destroy(&ma);
-
-  pthread_condattr_t ca;
-  PEACHY_CHECK(pthread_condattr_init(&ca) == 0, "shm ring: condattr init failed");
-  pthread_condattr_setpshared(&ca, PTHREAD_PROCESS_SHARED);
-  pthread_condattr_setclock(&ca, CLOCK_MONOTONIC);
-  PEACHY_CHECK(pthread_cond_init(&r->not_empty, &ca) == 0, "shm ring: condvar init failed");
-  PEACHY_CHECK(pthread_cond_init(&r->not_full, &ca) == 0, "shm ring: condvar init failed");
-  pthread_condattr_destroy(&ca);
-
-  r->head.store(0, std::memory_order_relaxed);
-  r->tail.store(0, std::memory_order_relaxed);
-  r->free_head = 0;
-  for (auto& c : r->claim) c.store(kShmClaimNone, std::memory_order_relaxed);
-  r->consumer_parked.store(0, std::memory_order_relaxed);
-  r->producers_parked.store(0, std::memory_order_relaxed);
-  r->futex_empty.store(0, std::memory_order_relaxed);
-  r->futex_full.store(0, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kShmRingSlots; ++i) {
-    r->slots[i].seq.store(i, std::memory_order_relaxed);
-  }
-  store_block(spill, 0, FreeBlock{spill_bytes, kShmSpillNull});
-}
-
-[[nodiscard]] ShmRingMode pick_mode(int nprocs) {
-  const char* e = std::getenv("PEACHY_SHM_RING");
-  if (e != nullptr) {
-    const std::string_view v{e};
-    if (v == "locked") return ShmRingMode::kLocked;
-    // A typo ("lock", "LOCKED") must not silently select the fast
-    // protocol when the user asked for the robustness fallback.
-    PEACHY_CHECK(v == "fast", "PEACHY_SHM_RING='" + std::string{v} +
-                                  "' is not a ring protocol (expected 'fast' or 'locked')");
-  }
-#if !defined(__linux__)
-  if (e != nullptr) {
-    std::fprintf(stderr,
-                 "peachy-mpi: PEACHY_SHM_RING=fast unavailable without futex; using locked\n");
-  }
-  return ShmRingMode::kLocked;  // no futex — the fast path's parking primitive
-#else
-  if (nprocs > kShmMaxFastProcs) {  // claim-register width
-    if (e != nullptr) {
-      std::fprintf(stderr,
-                   "peachy-mpi: PEACHY_SHM_RING=fast covers <= %d procs; world of %d uses locked\n",
-                   kShmMaxFastProcs, nprocs);
-    }
-    return ShmRingMode::kLocked;
-  }
-  return ShmRingMode::kFast;
-#endif
-}
-
-}  // namespace
-
-ShmRing* ShmView::ring(int proc) const noexcept {
-  const std::size_t off = ring_offset(proc, header()->spill_bytes);
-  return reinterpret_cast<ShmRing*>(static_cast<std::byte*>(base) + off);
-}
-
-std::byte* ShmView::spill(int proc) const noexcept {
-  const std::size_t off =
-      ring_offset(proc, header()->spill_bytes) + align_up(sizeof(ShmRing), kAlign);
-  return static_cast<std::byte*>(base) + off;
-}
-
-std::size_t shm_segment_bytes(int nprocs, std::size_t spill_bytes) {
-  return ring_offset(nprocs, spill_bytes);
-}
-
-ShmView shm_create(const std::string& name, int nprocs, std::size_t spill_bytes) {
-  PEACHY_CHECK(nprocs > 0, "shm_create: nprocs must be positive");
-  // Resolve the protocol first: a bad PEACHY_SHM_RING value fails the
-  // launch before any segment exists to leak.
-  const ShmRingMode mode = pick_mode(nprocs);
-  int fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  if (fd < 0 && errno == EEXIST) {
-    // Leftover from a crashed earlier run with the same pid-derived
-    // name: reclaim it once rather than failing the launch.
-    shm_unlink(name.c_str());
-    fd = shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  }
-  PEACHY_CHECK(fd >= 0, "shm_create: shm_open('" + name + "') failed (" +
-                            std::string{std::strerror(errno)} + ")");
-  const std::size_t bytes = shm_segment_bytes(nprocs, spill_bytes);
-  if (ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-    const int err = errno;
-    close(fd);
-    shm_unlink(name.c_str());
-    PEACHY_CHECK(false, "shm_create: ftruncate to " + std::to_string(bytes) + " bytes failed (" +
-                            std::string{std::strerror(err)} + ")");
-  }
-  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  close(fd);
-  PEACHY_CHECK(base != MAP_FAILED,
-               "shm_create: mmap failed (" + std::string{std::strerror(errno)} + ")");
-
-  ShmView view{base, bytes};
-  ShmSegHeader* hdr = view.header();
-  hdr->nprocs = static_cast<std::uint32_t>(nprocs);
-  hdr->spill_bytes = spill_bytes;
-  hdr->mode = mode;
-  hdr->dead_mask.store(0, std::memory_order_relaxed);
-  for (int p = 0; p < nprocs; ++p) init_ring(view.ring(p), view.spill(p), spill_bytes);
-  // Magic is written last: an attacher that sees it sees initialized rings.
-  hdr->magic = kShmMagic;
-  return view;
-}
-
-ShmView shm_attach(const std::string& name) {
-  const int fd = shm_open(name.c_str(), O_RDWR, 0);
-  PEACHY_CHECK(fd >= 0, "shm_attach: shm_open('" + name + "') failed (" +
-                            std::string{std::strerror(errno)} + ")");
-  struct stat st{};
-  PEACHY_CHECK(fstat(fd, &st) == 0, "shm_attach: fstat failed");
-  const std::size_t bytes = static_cast<std::size_t>(st.st_size);
-  void* base = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  close(fd);
-  PEACHY_CHECK(base != MAP_FAILED,
-               "shm_attach: mmap failed (" + std::string{std::strerror(errno)} + ")");
-  ShmView view{base, bytes};
-  PEACHY_CHECK(view.header()->magic == kShmMagic,
-               "shm_attach: '" + name + "' is not a peachy shm segment");
-  return view;
-}
-
-void shm_detach(ShmView& view) noexcept {
-  if (view.base != nullptr) munmap(view.base, view.bytes);
-  view = ShmView{};
-}
-
-void shm_mark_dead(const ShmView& view, int proc) noexcept {
-  if (proc < 0 || proc >= kShmMaxFastProcs) return;
-  ShmSegHeader* hdr = view.header();
-  hdr->dead_mask.fetch_or(std::uint64_t{1} << proc, std::memory_order_release);
-  if (hdr->mode != ShmRingMode::kFast) return;
-  // Kick every consumer: one stuck on the victim's unpublished slot
-  // re-runs its dead-hole scan now instead of on the 100ms backstop.
-  for (int p = 0; p < static_cast<int>(hdr->nprocs); ++p) {
-    ShmRing* r = view.ring(p);
-    r->futex_empty.fetch_add(1, std::memory_order_relaxed);
-    futex_wake_all(&r->futex_empty);
-  }
-}
-
-bool ring_push(const ShmView& view, int proc, int me, const FrameHeader& h,
-               const std::byte* payload, const std::atomic<bool>* give_up) {
-  if (h.bytes > kShmInlineBytes) {
-    const std::uint64_t spill_bytes = view.header()->spill_bytes;
-    PEACHY_CHECK(round16(h.bytes) <= spill_bytes,
-                 "shm transport: " + std::to_string(h.bytes) +
-                     "-byte message exceeds the spillover arena (" + std::to_string(spill_bytes) +
-                     " bytes) and can never be delivered");
-  }
-  if (view.header()->mode == ShmRingMode::kFast) {
-    // Only the fast protocol indexes the claim register with `me`; the
-    // locked fallback (auto-selected for worlds wider than
-    // kShmMaxFastProcs) ignores the pusher index entirely.
-    PEACHY_CHECK(me >= 0 && me <= kShmLauncherProc, "ring_push: bad pusher index");
-    return push_fast(view, proc, me, h, payload, give_up);
-  }
-  return push_locked(view, proc, h, payload, give_up);
-}
-
-bool ring_consume(const ShmView& view, int proc, const std::atomic<bool>& stop,
-                  const std::function<void(const FrameHeader&, const std::byte*)>& consume,
-                  bool* waited) {
-  if (view.header()->mode == ShmRingMode::kFast) {
-    return consume_fast(view, proc, stop, consume, waited);
-  }
-  return consume_locked(view, proc, stop, consume, waited);
 }
 
 bool ring_pop(const ShmView& view, int proc, FrameHeader& h, std::vector<std::byte>& payload,

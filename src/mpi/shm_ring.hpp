@@ -1,50 +1,40 @@
 #pragma once
 /// \file shm_ring.hpp
 /// \brief The shared-memory segment layout and ring operations behind
-/// the shm transport (DESIGN.md §15, fast-path protocol §16).
+/// the shm transport (DESIGN.md §15, slot protocol §16).
 ///
-/// One POSIX shm segment per world.  Layout:
+/// One POSIX shm segment per world.  Layout, every array sized from the
+/// world's `nprocs` when the segment is created:
 ///
-///   [ShmSegHeader][ShmRing #0][spill #0][ShmRing #1][spill #1]...
+///   [ShmSegHeader][ShmProc × nprocs]
+///   [ShmRing #0][claim #0 × (nprocs+1)][spill #0][ShmRing #1]...
 ///
 /// Each *process* owns one inbound ring; any process may push into any
 /// ring (multi-producer), only the owner's pump pops (single-consumer).
 /// A frame whose payload fits `kShmInlineBytes` travels inline in its
 /// slot; larger payloads are carved from the ring's spillover arena by
 /// a first-fit, offset-sorted, coalescing free list (all free-list
-/// state lives in the segment, protected by the ring mutex).
+/// state lives in the segment, protected by the ring's robust mutex).
 ///
-/// Two slot protocols share this layout, chosen by the segment creator
-/// (PEACHY_SHM_RING=fast|locked, recorded in ShmSegHeader so every
-/// attacher agrees):
-///
-/// **fast** (default): a lock-free bounded MPMC-claim / single-consumer
-/// slot protocol.  Every slot carries a free-running sequence number
-/// `seq` (initially its index): a producer CAS-claims position `pos` on
-/// the atomic `head`, writes the slot, and *publishes* it with a
-/// release store of `seq = pos + 1`; the consumer accepts a slot only
-/// when an acquire load observes `seq == pos + 1`, and recycles it with
+/// The slot protocol is a lock-free bounded MPMC-claim / single-consumer
+/// ring.  Every slot carries a free-running sequence number `seq`
+/// (initially its index): a producer CAS-claims position `pos` on the
+/// atomic `head`, writes the slot, and *publishes* it with a release
+/// store of `seq = pos + 1`; the consumer accepts a slot only when an
+/// acquire load observes `seq == pos + 1`, and recycles it with
 /// `seq = pos + kShmRingSlots` after consuming.  Waiting is adaptive
-/// spin-then-futex with parked-flag handshakes, so steady-state traffic
-/// does zero wake syscalls and zero lock operations on the small-message
-/// path; only spill (> 1 KiB) allocation still takes the robust mutex.
-/// Crash robustness keeps the launcher-as-failure-detector model: each
-/// producer stores its claimed position into a per-process *claim
-/// register* before the CAS, so when a producer dies between claim and
-/// publish the consumer — once the launcher sets the victim's bit in
-/// `dead_mask` — can prove the unpublished hole belongs to a dead
-/// process (its register names the position and no live register does)
-/// and recycle the slot.  See DESIGN.md §16 for the full ordering
+/// spin-then-futex with parked-flag handshakes (a sleep-poll off Linux),
+/// so steady-state traffic does zero wake syscalls and zero lock
+/// operations on the small-message path; only spill (> 1 KiB)
+/// allocation takes the robust mutex.  Crash robustness keeps the
+/// launcher-as-failure-detector model: each producer stores its claimed
+/// position into its *claim register* (one per process, plus one for
+/// the launcher at index `nprocs`) before the CAS, so when a producer
+/// dies between claim and publish the consumer — once the launcher sets
+/// the victim's `dead` flag — can prove the unpublished hole belongs to
+/// a dead process (its register names the position and no live register
+/// does) and recycle the slot.  See DESIGN.md §16 for the full ordering
 /// argument.
-///
-/// **locked** (fallback; also auto-selected when nprocs exceeds the
-/// claim-register width): the original PROCESS_SHARED ROBUST mutex +
-/// condvar protocol.  A slot is fully written before `head` is bumped
-/// under the lock; a producer death hands the next locker EOWNERDEAD,
-/// pthread_mutex_consistent() restores the lock, and the uncommitted
-/// slot is never observed.  Condvar waits use a ~100ms timedwait as a
-/// safety poll so a wakeup lost to a peer death never strands a waiter
-/// (the fast path's futex waits keep the same 100ms backstop).
 
 #include <atomic>
 #include <cstddef>
@@ -59,29 +49,21 @@
 
 namespace peachy::mpi::detail {
 
-// "PSM3": bumped from "PSM2" when the heartbeat alive words (and the
-// CRC-bearing 48-byte FrameHeader inside every slot) changed the layout.
-inline constexpr std::uint32_t kShmMagic = 0x50534D33;
+// "PSM4": bumped from "PSM3" when the claim registers and per-process
+// words became arrays sized from nprocs (no fixed 64-process width).
+inline constexpr std::uint32_t kShmMagic = 0x50534D34;
 inline constexpr std::size_t kShmInlineBytes = 1024;    ///< inline payload capacity per slot
 inline constexpr std::size_t kShmRingSlots = 64;
 inline constexpr std::size_t kShmSpillBytes = std::size_t{16} << 20;  ///< spill arena per ring
 inline constexpr std::uint64_t kShmSpillNull = ~std::uint64_t{0};
-
-/// Widest world the fast protocol's claim registers / dead_mask cover.
-/// Larger worlds fall back to the locked protocol automatically.
-inline constexpr int kShmMaxFastProcs = 64;
-/// Claim-register index used by the launcher (not one of the ranks).
-inline constexpr int kShmLauncherProc = kShmMaxFastProcs;
 inline constexpr std::uint64_t kShmClaimNone = ~std::uint64_t{0};
-
-enum class ShmRingMode : std::uint32_t { kFast = 0, kLocked = 1 };
 
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free &&
                   std::atomic<std::uint32_t>::is_always_lock_free,
-              "shm fast path requires address-free lock-free atomics");
+              "shm ring requires address-free lock-free atomics");
 
 struct ShmSlot {
-  std::atomic<std::uint64_t> seq;  ///< fast mode: publication sequence (see header comment)
+  std::atomic<std::uint64_t> seq;  ///< publication sequence (see header comment)
   FrameHeader hdr;
   std::uint64_t spill_off = kShmSpillNull;  ///< offset into the ring's spill arena, or null
   std::uint64_t spill_cap = 0;              ///< allocated spill block size (>= hdr.bytes)
@@ -89,22 +71,15 @@ struct ShmSlot {
 };
 
 struct ShmRing {
-  pthread_mutex_t mu;        ///< PROCESS_SHARED | ROBUST (locked mode + spill free list)
-  pthread_cond_t not_empty;  ///< PROCESS_SHARED, CLOCK_MONOTONIC (locked mode only)
-  pthread_cond_t not_full;
-  /// Next slot index to write / read (free-running).  Fast mode claims
-  /// `head` by CAS and owns `tail` from the single consumer; locked mode
-  /// reads and writes both with relaxed ops under `mu`.
+  pthread_mutex_t mu;  ///< PROCESS_SHARED | ROBUST; guards the spill free list
+  /// Next slot index to write / read (free-running).  Producers claim
+  /// `head` by CAS; `tail` belongs to the single consumer.
   alignas(64) std::atomic<std::uint64_t> head;
   alignas(64) std::atomic<std::uint64_t> tail;
   std::uint64_t free_head = 0;  ///< offset of first free spill block (offset-sorted list)
-  /// Fast mode: per-process claim registers.  claim[p] == pos exactly
-  /// while process p is between claiming slot `pos` and publishing it —
-  /// the evidence the consumer needs to skip a dead producer's hole.
-  std::atomic<std::uint64_t> claim[kShmMaxFastProcs + 1];
-  /// Fast mode parking state: nonzero while the consumer / >= 1 producer
-  /// is (about to be) in futex_wait, so the other side pays a wake
-  /// syscall only when someone is actually parked.
+  /// Parking state: nonzero while the consumer / >= 1 producer is
+  /// (about to be) in futex_wait, so the other side pays a wake syscall
+  /// only when someone is actually parked.
   alignas(64) std::atomic<std::uint32_t> consumer_parked;
   std::atomic<std::uint32_t> futex_empty;  ///< wake generation, consumer waits here
   alignas(64) std::atomic<std::uint32_t> producers_parked;
@@ -112,70 +87,82 @@ struct ShmRing {
   ShmSlot slots[kShmRingSlots];
 };
 
+/// One per process, right after the segment header.  The segment is
+/// page-zeroed at creation, so both words start at zero.
+struct ShmProc {
+  /// Heartbeat last-alive word: the process's beat thread stores its
+  /// CLOCK_MONOTONIC timestamp (ns) here and scans its peers' words —
+  /// the shm equivalent of the socket backend's kPing frames (DESIGN.md
+  /// §17).  Zero means "never beat" (process not up yet, or heartbeat
+  /// disabled), which monitors skip — no false death from a
+  /// slow-starting peer.
+  std::atomic<std::uint64_t> alive_ns;
+  /// Set once the launcher knows the process is dead (*before* it posts
+  /// the kFailed frames, so a consumer stuck on the process's
+  /// unpublished slot can always make progress).
+  std::atomic<std::uint32_t> dead;
+};
+
 struct ShmSegHeader {
   std::uint32_t magic = 0;
   std::uint32_t nprocs = 0;
   std::uint64_t spill_bytes = 0;  ///< spill arena size per ring
-  ShmRingMode mode = ShmRingMode::kFast;
-  std::uint32_t pad_ = 0;
-  /// Fast mode: bit p set once the launcher knows process p is dead
-  /// (set *before* it posts the kFailed frames, so a consumer stuck on
-  /// p's unpublished slot can always make progress).
-  std::atomic<std::uint64_t> dead_mask;
-  /// Heartbeat last-alive words: each process's beat thread stores its
-  /// CLOCK_MONOTONIC timestamp (ns) into alive_ns[proc] and scans its
-  /// peers' words — the shm equivalent of the socket backend's kPing
-  /// frames (DESIGN.md §17).  Zero means "never beat" (process not up
-  /// yet, or heartbeat disabled), which monitors skip — no false death
-  /// from a slow-starting peer.  The segment is page-zeroed at creation,
-  /// so no init is needed.
-  std::atomic<std::uint64_t> alive_ns[kShmMaxFastProcs];
 };
 
-/// A mapped segment (creator or attacher side).
+/// A mapped segment (creator or attacher side).  `nprocs` and
+/// `spill_bytes` are the layout the view was validated against; every
+/// address below is derived from them, never re-read from the header.
 struct ShmView {
   void* base = nullptr;
   std::size_t bytes = 0;
+  int nprocs = 0;
+  std::size_t spill_bytes = 0;
 
   [[nodiscard]] ShmSegHeader* header() const noexcept {
     return static_cast<ShmSegHeader*>(base);
   }
+  [[nodiscard]] ShmProc* proc(int p) const noexcept;
   [[nodiscard]] ShmRing* ring(int proc) const noexcept;
+  /// The ring's nprocs + 1 claim registers: claims(r)[p] == pos exactly
+  /// while process p (the launcher is p == nprocs) is between claiming
+  /// slot `pos` of ring r and publishing it — the evidence the consumer
+  /// needs to skip a dead producer's hole.
+  [[nodiscard]] std::atomic<std::uint64_t>* claims(int proc) const noexcept;
   [[nodiscard]] std::byte* spill(int proc) const noexcept;
   [[nodiscard]] explicit operator bool() const noexcept { return base != nullptr; }
 };
 
+/// Total segment size for a world of `nprocs`; a size that overflows
+/// size_t is a named error.
 [[nodiscard]] std::size_t shm_segment_bytes(int nprocs, std::size_t spill_bytes);
 
 /// Create + map a fresh segment (`O_CREAT|O_EXCL`; a stale same-name
 /// segment from a crashed earlier run is unlinked and creation retried
-/// once).  Initializes every ring's slot sequences, mutex/condvars, and
-/// free list.  The ring protocol is chosen here — PEACHY_SHM_RING=locked
-/// forces the fallback, worlds wider than kShmMaxFastProcs get it
-/// automatically, and any value other than fast|locked is a named
-/// error — and recorded in the header for every attacher.
+/// once).  Initializes every ring's slot sequences, mutex, claim
+/// registers, and free list.
 [[nodiscard]] ShmView shm_create(const std::string& name, int nprocs, std::size_t spill_bytes);
 
-/// Map an existing segment by name; validates the magic.
+/// Map an existing segment by name.  The segment must be at least a
+/// header long, carry the magic, name a positive `nprocs`, and be
+/// exactly `shm_segment_bytes(nprocs, spill_bytes)` long; anything else
+/// is a named error, so a view never points outside its mapping.
 [[nodiscard]] ShmView shm_attach(const std::string& name);
 
 void shm_detach(ShmView& view) noexcept;
 
-/// Record process `proc` as dead (launcher side).  Publishes the
-/// dead_mask bit and wakes every ring's consumer so one stuck on the
-/// victim's unpublished slot re-evaluates immediately instead of on the
-/// next 100ms poll.
+/// Record process `proc` as dead (launcher side).  Publishes its `dead`
+/// flag and wakes every ring's consumer so one stuck on the victim's
+/// unpublished slot re-evaluates immediately instead of on the next
+/// 100ms poll.
 void shm_mark_dead(const ShmView& view, int proc) noexcept;
 
-/// Push one frame into `proc`'s ring as process `me` (ranks pass their
-/// own proc index, the launcher passes kShmLauncherProc).  Only the
-/// fast protocol uses `me` (claim-register index, bounded by
-/// kShmLauncherProc); the locked fallback ignores it, so wide worlds'
-/// ranks past the register width push normally.  Blocks while
-/// the ring is full or the spill arena can't fit the payload; bails out
-/// and returns false if `give_up` becomes true while waiting (used to
-/// stop filling the ring of a process known to be dead).  A payload
-/// larger than the whole spill arena is a named error.
+/// Push one frame into `proc`'s ring as process `me`: ranks pass their
+/// own proc index, the launcher passes `view.nprocs`; `me` selects the
+/// claim register, and anything outside 0..nprocs is a named error.
+/// Blocks while the ring is full or the spill arena can't fit the
+/// payload; bails out and returns false if `give_up` becomes true while
+/// waiting (used to stop filling the ring of a process known to be
+/// dead).  A payload larger than the whole spill arena is a named error.
 bool ring_push(const ShmView& view, int proc, int me, const FrameHeader& h,
                const std::byte* payload, const std::atomic<bool>* give_up = nullptr);
 
@@ -200,8 +187,8 @@ bool ring_pop(const ShmView& view, int proc, FrameHeader& h, std::vector<std::by
 
 namespace test_hooks {
 /// When true, ring_push raises SIGKILL after claiming a slot and before
-/// publishing it (fast mode only) — the crashed-peer-mid-slot-write
-/// scenario the stress suite drives from a forked child.
+/// publishing it — the crashed-peer-mid-slot-write scenario the stress
+/// suite drives from a forked child.
 extern std::atomic<bool> g_die_between_claim_and_publish;
 }  // namespace test_hooks
 

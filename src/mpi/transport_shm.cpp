@@ -57,10 +57,9 @@ class ShmEndpoint {
       my_proc_ = li.rank;
       nprocs_ = li.nranks;
       view_ = shm_attach(li.shm_name);
-      PEACHY_CHECK(static_cast<int>(view_.header()->nprocs) == nprocs_,
-                   "shm transport: segment was created for " +
-                       std::to_string(view_.header()->nprocs) + " processes, not " +
-                       std::to_string(nprocs_));
+      PEACHY_CHECK(view_.nprocs == nprocs_, "shm transport: segment was created for " +
+                                                std::to_string(view_.nprocs) +
+                                                " processes, not " + std::to_string(nprocs_));
     } else {
       const std::string name = "/peachy." + std::to_string(getpid()) + ".self";
       view_ = shm_create(name, 1, kShmSpillBytes);
@@ -68,13 +67,9 @@ class ShmEndpoint {
     }
     dead_ = std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(nprocs_));
     pump_ = std::thread{[this] { pump_main(); }};
-    // Heartbeat: launched multi-process worlds only (from_env gates), and
-    // only while the alive-word array covers every process — wide worlds
-    // past kShmMaxFastProcs keep the launcher-only failure detector.
+    // Heartbeat: launched multi-process worlds only (from_env gates).
     hb_ = faults::HeartbeatConfig::from_env(launched_, nprocs_);
-    if (hb_.enabled() && nprocs_ <= kShmMaxFastProcs) {
-      beat_ = std::thread{[this] { beat_main(); }};
-    }
+    if (hb_.enabled()) beat_ = std::thread{[this] { beat_main(); }};
     started_ = true;
   }
 
@@ -107,7 +102,7 @@ class ShmEndpoint {
       beat_cv_.notify_all();
       beat_.join();
     }
-    // A self-addressed goodbye wakes the pump out of its condvar wait
+    // A self-addressed goodbye wakes the pump out of its futex park
     // immediately (the 100ms safety poll would get there anyway).
     FrameHeader bye = make_ctrl_header(WireKind::kBye, 0, my_proc_, 0);
     seal_frame(bye, nullptr);
@@ -241,26 +236,24 @@ class ShmEndpoint {
   /// CLOCK_MONOTONIC timestamp into the segment's alive word — shared
   /// memory is the ping; no frames, no ring traffic — and scan the
   /// peers' words.  CLOCK_MONOTONIC is system-wide, so the words of
-  /// different processes are directly comparable.  A peer already in
-  /// dead_mask is the launcher's kill; we skip it.  A peer whose word
+  /// different processes are directly comparable.  A peer whose `dead`
+  /// flag is set is the launcher's kill; we skip it.  A peer whose word
   /// stays stale past the timeout (+ grace) is confirmed dead — SIGKILL
   /// with no launcher alive to notice, or wedged (SIGSTOP, runaway
   /// handler) — and fed to the router exactly like a launcher report.
   void beat_main() {
-    ShmSegHeader* hdr = view_.header();
     faults::HeartbeatMonitor mon{nprocs_, hb_};
     const auto interval = std::chrono::nanoseconds{hb_.interval_ns()};
     for (;;) {
       const std::uint64_t now = monotonic_ns();
-      hdr->alive_ns[my_proc_].store(now, std::memory_order_relaxed);
-      const std::uint64_t dead_mask = hdr->dead_mask.load(std::memory_order_relaxed);
+      view_.proc(my_proc_)->alive_ns.store(now, std::memory_order_relaxed);
       for (int p = 0; p < nprocs_; ++p) {
         if (p == my_proc_) continue;
-        if ((dead_mask >> p) & 1u) continue;  // launcher already reported it
+        const ShmProc* peer = view_.proc(p);
+        if (peer->dead.load(std::memory_order_relaxed) != 0) continue;  // the launcher reported it
         std::atomic<bool>& dead = dead_[static_cast<std::size_t>(p)];
         if (dead.load(std::memory_order_relaxed)) continue;
-        const std::uint64_t w =
-            hdr->alive_ns[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
+        const std::uint64_t w = peer->alive_ns.load(std::memory_order_relaxed);
         if (w != 0) mon.alive(p, w);
         if (mon.check(p, now) == faults::HeartbeatMonitor::Verdict::kConfirmed) {
           dead.store(true, std::memory_order_relaxed);

@@ -8,10 +8,18 @@
 
 namespace peachy::support {
 
+namespace test_hooks {
+std::atomic<void (*)(const ThreadPool*, IdleStep)> g_idle_hook{nullptr};
+}  // namespace test_hooks
+
 namespace {
 // Which pool (if any) the current thread works for, and its index.
 thread_local const ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_index = static_cast<std::size_t>(-1);
+
+void idle_hook(const ThreadPool* pool, test_hooks::IdleStep step) {
+  if (auto* hook = test_hooks::g_idle_hook.load(std::memory_order_acquire)) hook(pool, step);
+}
 }  // namespace
 
 std::size_t ThreadPool::default_concurrency() noexcept {
@@ -164,14 +172,17 @@ void ThreadPool::worker_loop(std::size_t self) {
       }
       continue;
     }
+    idle_hook(this, test_hooks::IdleStep::kScannedEmpty);
     std::unique_lock lock{idle_mu_};
     if (stop_.load(std::memory_order_acquire)) return;
     if (pending_.load(std::memory_order_acquire) == 0) {
       idle_cv_.notify_all();
     }
     work_cv_.wait(lock, [&] {
-      return stop_.load(std::memory_order_relaxed) ||
-             tickets_.load(std::memory_order_relaxed) != seen;
+      const bool woken = stop_.load(std::memory_order_relaxed) ||
+                         tickets_.load(std::memory_order_relaxed) != seen;
+      if (!woken) idle_hook(this, test_hooks::IdleStep::kBlocking);
+      return woken;
     });
     if (obs::enabled()) {
       static obs::Counter& wakeups = obs::counter("pool.idle_wakeups");

@@ -140,4 +140,17 @@ class ThreadPool {
   std::exception_ptr task_error_;
 };
 
+namespace test_hooks {
+/// Where an idle worker is on its way to sleep.
+enum class IdleStep {
+  kScannedEmpty,  ///< every queue scanned empty; the idle mutex not yet taken
+  kBlocking,      ///< under the idle mutex, the wait predicate just read false
+};
+/// When set, every idle worker of every pool calls this at both steps.
+/// At kScannedEmpty the hook may block, parking the worker in the
+/// window a submit's wakeup must not be lost in; at kBlocking it runs
+/// under the pool's idle mutex and must not call back into the pool.
+extern std::atomic<void (*)(const ThreadPool*, IdleStep)> g_idle_hook;
+}  // namespace test_hooks
+
 }  // namespace peachy::support

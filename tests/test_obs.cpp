@@ -7,12 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "analysis/report.hpp"
@@ -272,36 +270,6 @@ TEST(ObsIntegration, PoolDwellHistogramPopulated) {
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 32);
   EXPECT_GE(po::histogram("pool.dwell_ns").count(), 32u);
-}
-
-// ---- bugfix regression: dispatch latency -------------------------------------
-
-TEST(PoolDispatch, BurstOfTinySubmitsHasSubMillisecondP99) {
-  // Regression test for the submit/wait missed-notify race: submit()
-  // published work and called notify_one() without holding idle_mu_, so a
-  // worker between "scanned empty" and "wait" missed the notify and slept
-  // out the old 1 ms poll.  With the ticket published under idle_mu_ and a
-  // plain predicated wait, dispatch latency is bounded by OS wakeup time.
-  ps::ThreadPool pool{2};
-  constexpr int kBurst = 400;
-  std::vector<double> latency_ms(kBurst);
-  for (int i = 0; i < kBurst; ++i) {
-    std::atomic<bool> done{false};
-    const auto t0 = std::chrono::steady_clock::now();
-    pool.submit([&done] { done.store(true, std::memory_order_release); });
-    while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
-    latency_ms[static_cast<std::size_t>(i)] =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  t0)
-            .count();
-    // Let the workers drain back to the idle wait, so every iteration
-    // exercises the sleeping-worker wakeup path (where the race lived).
-    if (i % 8 == 0) std::this_thread::sleep_for(std::chrono::microseconds{200});
-  }
-  std::sort(latency_ms.begin(), latency_ms.end());
-  const double p99 = latency_ms[static_cast<std::size_t>(kBurst * 99 / 100)];
-  EXPECT_LT(p99, 1.0) << "p99 dispatch latency " << p99
-                      << " ms — sleeping workers are missing submit wakeups";
 }
 
 // ---- wire fault / heartbeat counter cross-checks (DESIGN.md §17) ------------

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -142,6 +144,73 @@ TEST(ThreadPool, WorkerIndexVisibleInsideTasks) {
 TEST(ThreadPool, RejectsNullTask) {
   ps::ThreadPool pool{1};
   EXPECT_THROW(pool.submit(ps::ThreadPool::Task{}), peachy::Error);
+}
+
+namespace {
+/// What the idle hook and the test body share.  Hooks from any other
+/// pool in the process pass straight through.
+struct ParkedWorker {
+  const ps::ThreadPool* pool = nullptr;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked = false;
+  bool released = false;
+  bool ran = false;
+  bool slept_with_work = false;
+};
+ParkedWorker g_parked;
+
+void park_once(const ps::ThreadPool* pool, ps::test_hooks::IdleStep step) {
+  if (pool != g_parked.pool) return;
+  std::unique_lock lock{g_parked.mu};
+  if (step == ps::test_hooks::IdleStep::kScannedEmpty) {
+    if (g_parked.parked) return;
+    g_parked.parked = true;
+    g_parked.cv.notify_all();
+    g_parked.cv.wait(lock, [] { return g_parked.released; });
+  } else if (g_parked.released && !g_parked.ran) {
+    // About to block with the task still queued: its wakeup was lost.
+    g_parked.slept_with_work = true;
+    g_parked.cv.notify_all();
+  }
+}
+}  // namespace
+
+// The missed-notify race, replayed deterministically: the only worker
+// is parked after scanning every queue empty and before taking the idle
+// mutex to sleep, a task is submitted right there, and then the worker
+// is let go.  The submit's wakeup must survive the window — the worker
+// runs the task instead of blocking with it queued.  The hook reports a
+// worker that blocks anyway, so a regression fails here rather than
+// hanging, and no clock is involved.
+TEST(ThreadPool, SubmitWhileWorkerParksBeforeWaitIsNotMissed) {
+  // Constructed in place so the hook knows the pool's address before its
+  // worker first goes idle.
+  alignas(ps::ThreadPool) unsigned char storage[sizeof(ps::ThreadPool)];
+  g_parked.pool = reinterpret_cast<const ps::ThreadPool*>(storage);
+  g_parked.parked = g_parked.released = g_parked.ran = g_parked.slept_with_work = false;
+  ps::test_hooks::g_idle_hook.store(&park_once);
+  auto* pool = new (storage) ps::ThreadPool{1};
+  {
+    std::unique_lock lock{g_parked.mu};
+    g_parked.cv.wait(lock, [] { return g_parked.parked; });
+  }
+  pool->submit([] {
+    const std::lock_guard lock{g_parked.mu};
+    g_parked.ran = true;
+    g_parked.cv.notify_all();
+  });
+  {
+    std::unique_lock lock{g_parked.mu};
+    g_parked.released = true;
+    g_parked.cv.notify_all();
+    g_parked.cv.wait(lock, [] { return g_parked.ran || g_parked.slept_with_work; });
+  }
+  EXPECT_TRUE(g_parked.ran);
+  EXPECT_FALSE(g_parked.slept_with_work)
+      << "the worker went to sleep with a task queued: the submit's wakeup was lost";
+  pool->~ThreadPool();
+  ps::test_hooks::g_idle_hook.store(nullptr);
 }
 
 // ---- barrier ---------------------------------------------------------------

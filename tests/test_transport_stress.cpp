@@ -1,23 +1,26 @@
-// Stress coverage for the shm slot-ring protocols (DESIGN.md §15/§16)
-// at the ring-operation level, below the transport seam: slot-ring
-// wraparound FIFO under concurrent posters, spill-arena exhaustion with
-// producers blocked on the free list, the give-up path, and — fast mode
-// only — a producer SIGKILLed between claiming a slot and publishing it
-// (driven from a forked child via test_hooks), whose hole the consumer
-// must prove dead and skip.  Every multi-producer case runs under both
-// ring protocols (PEACHY_SHM_RING=fast|locked), and the whole file is
-// part of the asan/tsan matrix in scripts/check.sh.
+// Stress coverage for the shm slot ring (DESIGN.md §15/§16) at the
+// ring-operation level, below the transport seam: slot-ring wraparound
+// FIFO under concurrent posters, spill-arena exhaustion with producers
+// blocked on the free list, the give-up path, a world wider than 64
+// processes (rank 65 and the launcher's register index), a producer
+// SIGKILLed between claiming a slot and publishing it (driven from a
+// forked child via test_hooks), whose hole the consumer must prove dead
+// and skip, and shm_attach's validation of a truncated or mutated
+// segment.  The whole file is part of the asan/tsan matrix in
+// scripts/check.sh.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -30,17 +33,18 @@ namespace pd = peachy::mpi::detail;
 
 namespace {
 
-/// A fresh anonymous-named segment in the requested ring mode.  The
-/// name is unlinked immediately (the mapping stays alive), so a test
-/// abort can't leak /dev/shm entries.
-pd::ShmView make_segment(const char* mode, int nprocs, std::size_t spill_bytes) {
+std::string segment_name() {
   static std::atomic<int> counter{0};
-  setenv("PEACHY_SHM_RING", mode, 1);
-  const std::string name = "/peachy.test." + std::to_string(getpid()) + "." +
-                           std::to_string(counter.fetch_add(1));
+  return "/peachy.test." + std::to_string(getpid()) + "." + std::to_string(counter.fetch_add(1));
+}
+
+/// A fresh anonymous-named segment.  The name is unlinked immediately
+/// (the mapping stays alive), so a test abort can't leak /dev/shm
+/// entries.
+pd::ShmView make_segment(int nprocs, std::size_t spill_bytes) {
+  const std::string name = segment_name();
   pd::ShmView view = pd::shm_create(name, nprocs, spill_bytes);
   shm_unlink(name.c_str());
-  unsetenv("PEACHY_SHM_RING");
   return view;
 }
 
@@ -53,8 +57,6 @@ pd::FrameHeader data_header(int source, int tag, std::uint64_t bytes) {
   return h;
 }
 
-class ShmRingStress : public ::testing::TestWithParam<const char*> {};
-
 }  // namespace
 
 // The ring has 64 slots; push an order of magnitude more through it with
@@ -62,10 +64,10 @@ class ShmRingStress : public ::testing::TestWithParam<const char*> {};
 // many times and every slot is recycled under load.  Inline payloads
 // carry (producer, index) so the consumer can verify exact per-producer
 // FIFO and zero loss/duplication.
-TEST_P(ShmRingStress, WraparoundFifoUnderConcurrentPosters) {
+TEST(ShmRingStress, WraparoundFifoUnderConcurrentPosters) {
   static constexpr int kProducers = 4;
   static constexpr int kPerProducer = 600;  // 2400 frames through 64 slots
-  pd::ShmView view = make_segment(GetParam(), kProducers + 1, 64 << 10);
+  pd::ShmView view = make_segment(kProducers + 1, 64 << 10);
 
   std::thread consumer{[&view] {
     std::atomic<bool> stop{false};
@@ -108,12 +110,12 @@ TEST_P(ShmRingStress, WraparoundFifoUnderConcurrentPosters) {
 // as the consumer frees, with total traffic ~100x the arena.  Contents
 // are verified end to end, so a double-allocated or early-freed spill
 // block shows up as corruption, not just a crash.
-TEST_P(ShmRingStress, SpillArenaExhaustionUnderConcurrentPosters) {
+TEST(ShmRingStress, SpillArenaExhaustionUnderConcurrentPosters) {
   static constexpr int kProducers = 3;
   static constexpr int kPerProducer = 60;
   static constexpr std::size_t kPayload = 12 << 10;  // 12 KiB, always spilled
   // Room for ~5 blocks (+ free-list headers), so exhaustion is constant.
-  pd::ShmView view = make_segment(GetParam(), kProducers + 1, 64 << 10);
+  pd::ShmView view = make_segment(kProducers + 1, 64 << 10);
 
   std::thread consumer{[&view] {
     std::atomic<bool> stop{false};
@@ -148,8 +150,8 @@ TEST_P(ShmRingStress, SpillArenaExhaustionUnderConcurrentPosters) {
 // A sender must bail out of a full ring (and of arena exhaustion) when
 // its give_up flag trips — the path that stops survivors from piling
 // frames into a dead process's never-drained ring.
-TEST_P(ShmRingStress, GiveUpAbandonsFullRing) {
-  pd::ShmView view = make_segment(GetParam(), 2, 64 << 10);
+TEST(ShmRingStress, GiveUpAbandonsFullRing) {
+  pd::ShmView view = make_segment(2, 64 << 10);
   const pd::FrameHeader h = data_header(1, 0, sizeof(int));
   const int v = 7;
   const auto* bytes = reinterpret_cast<const std::byte*>(&v);
@@ -161,7 +163,7 @@ TEST_P(ShmRingStress, GiveUpAbandonsFullRing) {
 
   // Same bail-out from spill-arena exhaustion: one giant block holds the
   // arena, so the next spill push can only wait — or give up.
-  pd::ShmView view2 = make_segment(GetParam(), 2, 64 << 10);
+  pd::ShmView view2 = make_segment(2, 64 << 10);
   std::vector<std::byte> big(48 << 10);
   ASSERT_TRUE(pd::ring_push(view2, 0, 1, data_header(1, 1, big.size()), big.data()));
   EXPECT_FALSE(pd::ring_push(view2, 0, 1, data_header(1, 2, big.size()), big.data(), &give_up));
@@ -170,62 +172,45 @@ TEST_P(ShmRingStress, GiveUpAbandonsFullRing) {
   pd::shm_detach(view2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, ShmRingStress, ::testing::Values("fast", "locked"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           return std::string{info.param};
-                         });
-
-// Worlds wider than the claim register auto-select the locked protocol,
-// whose pushes never index the register — so a rank past
-// kShmLauncherProc must be accepted there (rank 65's first send in a
-// 66-proc shm launch), and rejected only under the fast protocol.
-TEST(ShmRingModes, LockedModeAcceptsWidePusherIndex) {
-  const int wide_nprocs = pd::kShmMaxFastProcs + 2;
-  pd::ShmView wide = make_segment("fast", wide_nprocs, 4 << 10);
-  ASSERT_EQ(wide.header()->mode, pd::ShmRingMode::kLocked);  // auto-fallback won
+// Every per-process array is sized from nprocs, so a world wider than
+// 64 processes runs the same protocol: its last rank (65) and the
+// launcher (register index nprocs = 66) push and pop like any other
+// process, and only an index past the launcher's is refused.
+TEST(ShmRingWide, RankAndLauncherPastSixtyFourPushAndPop) {
+  constexpr int kProcs = 66;
+  pd::ShmView view = make_segment(kProcs, 4 << 10);
+  ASSERT_EQ(view.nprocs, kProcs);
 
   const int v = 41;
   const auto* bytes = reinterpret_cast<const std::byte*>(&v);
-  const int widest_rank = wide_nprocs - 1;  // 65 > kShmLauncherProc
-  ASSERT_TRUE(pd::ring_push(wide, 0, widest_rank, data_header(widest_rank, 7, sizeof v), bytes));
+  ASSERT_TRUE(pd::ring_push(view, 0, kProcs - 1, data_header(kProcs - 1, 7, sizeof v), bytes));
+  ASSERT_TRUE(pd::ring_push(view, kProcs - 1, kProcs, data_header(kProcs, 8, sizeof v), bytes));
 
   std::atomic<bool> stop{false};
   pd::FrameHeader h;
   std::vector<std::byte> payload;
-  ASSERT_TRUE(pd::ring_pop(wide, 0, h, payload, stop));
+  ASSERT_TRUE(pd::ring_pop(view, 0, h, payload, stop));
   EXPECT_EQ(h.tag, 7);
-  EXPECT_EQ(h.source, widest_rank);
-  pd::shm_detach(wide);
+  EXPECT_EQ(h.source, kProcs - 1);
+  ASSERT_TRUE(pd::ring_pop(view, kProcs - 1, h, payload, stop));
+  EXPECT_EQ(h.tag, 8);
+  EXPECT_EQ(h.source, kProcs);
 
-  // The fast protocol still enforces the register bound.
-  pd::ShmView fast = make_segment("fast", 2, 4 << 10);
-  ASSERT_EQ(fast.header()->mode, pd::ShmRingMode::kFast);
-  EXPECT_THROW(
-      pd::ring_push(fast, 0, pd::kShmLauncherProc + 1, data_header(1, 8, sizeof v), bytes),
-      peachy::Error);
-  pd::shm_detach(fast);
-}
-
-// A typo in PEACHY_SHM_RING must not silently select the fast protocol
-// when the user asked for the robustness fallback: anything other than
-// fast|locked is a named error, raised before the segment is created.
-TEST(ShmRingModes, RejectsUnknownRingModeEnv) {
-  const std::string name = "/peachy.test.badmode." + std::to_string(getpid());
-  setenv("PEACHY_SHM_RING", "lock", 1);
-  EXPECT_THROW((void)pd::shm_create(name, 2, 4 << 10), peachy::Error);
-  unsetenv("PEACHY_SHM_RING");
-  shm_unlink(name.c_str());  // must be a no-op: nothing was created
+  EXPECT_THROW(pd::ring_push(view, 0, kProcs + 1, data_header(1, 9, sizeof v), bytes),
+               peachy::Error);
+  EXPECT_THROW(pd::ring_push(view, 0, -1, data_header(1, 9, sizeof v), bytes), peachy::Error);
+  pd::shm_detach(view);
 }
 
 #if defined(__linux__)
-// The fast protocol's crash window: a forked child claims a slot (head
-// CAS done, claim register set) and is SIGKILLed before publishing seq.
-// The consumer sees head past an unpublished slot — a hole it may skip
-// only once the launcher marks the child dead.  Frames published on
-// either side of the hole must still arrive, in order.
-TEST(ShmRingCrash, DeadProducerHoleIsSkippedInFastMode) {
-  pd::ShmView view = make_segment("fast", 2, 64 << 10);
-  ASSERT_EQ(view.header()->mode, pd::ShmRingMode::kFast);
+// The crash window: a forked child claims a slot (head CAS done, claim
+// register set) and is SIGKILLed before publishing seq.  The consumer
+// sees head past an unpublished slot — a hole it may skip only once the
+// launcher marks the child dead.  Frames published on either side of
+// the hole must still arrive, in order.
+namespace {
+void expect_dead_producer_hole_skipped(int nprocs, int claimant) {
+  pd::ShmView view = make_segment(nprocs, 64 << 10);
 
   const int a = 1;
   ASSERT_TRUE(pd::ring_push(view, 0, 0, data_header(0, 10, sizeof a),
@@ -237,7 +222,7 @@ TEST(ShmRingCrash, DeadProducerHoleIsSkippedInFastMode) {
     // In the child: die exactly between claim and publish.
     pd::test_hooks::g_die_between_claim_and_publish.store(true);
     const int c = 99;
-    (void)pd::ring_push(view, 0, 1, data_header(1, 11, sizeof c),
+    (void)pd::ring_push(view, 0, claimant, data_header(claimant, 11, sizeof c),
                         reinterpret_cast<const std::byte*>(&c));
     _exit(0);  // unreachable — the hook raises SIGKILL
   }
@@ -251,11 +236,11 @@ TEST(ShmRingCrash, DeadProducerHoleIsSkippedInFastMode) {
                             reinterpret_cast<const std::byte*>(&b)));
   // head moved past the child's claimed slot; the slot is unpublished.
   ASSERT_EQ(view.ring(0)->head.load(), 3u);
-  ASSERT_EQ(view.ring(0)->claim[1].load(), 1u);
+  ASSERT_EQ(view.claims(0)[claimant].load(), 1u);
 
   // What the launcher does on reaping the death — without it the
   // consumer would wait on the hole forever.
-  pd::shm_mark_dead(view, 1);
+  pd::shm_mark_dead(view, claimant);
 
   std::atomic<bool> stop{false};
   pd::FrameHeader h;
@@ -277,4 +262,108 @@ TEST(ShmRingCrash, DeadProducerHoleIsSkippedInFastMode) {
   }
   pd::shm_detach(view);
 }
+}  // namespace
+
+TEST(ShmRingCrash, DeadProducerHoleIsSkipped) { expect_dead_producer_hole_skipped(2, 1); }
+
+// Same crash at claim index 65, past the 64 processes a fixed-width
+// dead mask could name.
+TEST(ShmRingCrash, DeadProducerHoleIsSkippedAtWideIndex) {
+  expect_dead_producer_hole_skipped(66, 65);
+}
 #endif  // __linux__
+
+// shm_attach derives every ring address from the header's nprocs and
+// spill_bytes, so it must refuse a segment whose length does not match
+// them — here a 4-process segment cut to 8 KiB, whose ring 3 would lie
+// far past the end of the mapping.
+TEST(ShmRingAttach, TruncatedSegmentIsANamedError) {
+  const std::string name = segment_name();
+  pd::ShmView view = pd::shm_create(name, 4, 64 << 10);
+  const int fd = shm_open(name.c_str(), O_RDWR, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(ftruncate(fd, 8192), 0);
+  close(fd);
+  EXPECT_THROW((void)pd::shm_attach(name), peachy::Error);
+  pd::shm_detach(view);  // unmaps only; the cut-off pages are never touched
+  shm_unlink(name.c_str());
+}
+
+// Seeded mutations of the header fields and the file length: every
+// attach either yields a view whose rings, claim registers, spill
+// arenas and per-process words all lie inside the mapping, or fails
+// with a named error.
+TEST(ShmRingAttach, MutatedHeaderYieldsInBoundsViewOrNamedError) {
+  std::mt19937_64 rng{20231112};
+  const auto pick = [&rng](std::initializer_list<std::uint64_t> options) {
+    std::uniform_int_distribution<std::size_t> d{0, options.size() - 1};
+    return *(options.begin() + d(rng));
+  };
+  int attached = 0;
+  int refused = 0;
+  for (int iter = 0; iter < 160; ++iter) {
+    const int nprocs = 1 + static_cast<int>(rng() % 3);
+    const std::size_t spill = pick({4096, 8192});
+    const std::string name = segment_name();
+    pd::ShmView view = pd::shm_create(name, nprocs, spill);
+    pd::ShmSegHeader* hdr = view.header();
+    const std::uint64_t n = static_cast<std::uint64_t>(nprocs);
+    std::uint64_t length = view.bytes;
+    // One or two of the four fields, each to a boundary or random value
+    // (some choices leave the field as it was).
+    for (int m = 0, mutations = 1 + static_cast<int>(rng() % 2); m < mutations; ++m) {
+      switch (rng() % 4) {
+        case 0:
+          hdr->magic = static_cast<std::uint32_t>(
+              pick({pd::kShmMagic, pd::kShmMagic ^ 1u, 0x50534D33u, rng()}));
+          break;
+        case 1:
+          hdr->nprocs = static_cast<std::uint32_t>(
+              pick({0, 1, n - 1, n, n + 1, 2 * n, 66, 0xffffffffu, rng() % 4096}));
+          break;
+        case 2:
+          hdr->spill_bytes = pick({0, 1, spill - 1, spill, spill + 1, spill + 64, 2 * spill,
+                                   std::numeric_limits<std::uint64_t>::max(), rng()});
+          break;
+        default:
+          length = pick({0, 1, sizeof(pd::ShmSegHeader) - 1, sizeof(pd::ShmSegHeader), 8192,
+                         view.bytes / 2, view.bytes - 1, view.bytes, view.bytes + 1,
+                         view.bytes + 4096, rng() % (2 * view.bytes)});
+          break;
+      }
+    }
+    if (length != view.bytes) {
+      const int fd = shm_open(name.c_str(), O_RDWR, 0);
+      ASSERT_GE(fd, 0);
+      ASSERT_EQ(ftruncate(fd, static_cast<off_t>(length)), 0);
+      close(fd);
+    }
+
+    try {
+      pd::ShmView got = pd::shm_attach(name);
+      ++attached;
+      const auto* lo = static_cast<const std::byte*>(got.base);
+      const auto* hi = lo + got.bytes;
+      const auto inside = [lo, hi](const void* p, std::size_t len) {
+        const auto* b = static_cast<const std::byte*>(p);
+        return b >= lo && b <= hi && len <= static_cast<std::size_t>(hi - b);
+      };
+      EXPECT_GT(got.nprocs, 0);
+      EXPECT_TRUE(inside(got.proc(0), got.nprocs * sizeof(pd::ShmProc)));
+      for (int p = 0; p < got.nprocs; ++p) {
+        EXPECT_TRUE(inside(got.ring(p), sizeof(pd::ShmRing))) << "ring " << p;
+        EXPECT_TRUE(inside(got.claims(p), (got.nprocs + 1) * sizeof(std::uint64_t)))
+            << "claims " << p;
+        EXPECT_TRUE(inside(got.spill(p), got.spill_bytes)) << "spill " << p;
+      }
+      pd::shm_detach(got);
+    } catch (const peachy::Error&) {
+      ++refused;
+    }
+    pd::shm_detach(view);
+    shm_unlink(name.c_str());
+  }
+  // The seed must exercise both outcomes, or the loop proves nothing.
+  EXPECT_GT(attached, 0);
+  EXPECT_GT(refused, 0);
+}
