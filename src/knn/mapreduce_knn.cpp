@@ -21,7 +21,7 @@ struct Candidate {
 /// Fixed-width query key so lexicographic ordering equals numeric ordering
 /// (gather returns key-sorted pairs).
 std::string query_key(std::size_t qi) {
-  char buf[16];
+  char buf[24];
   std::snprintf(buf, sizeof buf, "q%010zu", qi);
   return buf;
 }
@@ -52,11 +52,11 @@ std::vector<std::int32_t> mapreduce_classify(mpi::Comm& comm, const data::Labele
     const auto chunk = support::static_block(db.size(), opts.map_tasks, task);
     for (std::size_t qi = 0; qi < queries.size(); ++qi) {
       const auto q = queries.point(qi);
+      const std::string key = query_key(qi);
       if (opts.emit == EmitMode::kAllPairs) {
         for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          out.emit_record(query_key(qi),
-                          Candidate{db.points.squared_distance(i, q),
-                                    static_cast<std::uint32_t>(i), db.labels[i]});
+          out.emit_record(key, Candidate{db.points.squared_distance(i, q),
+                                         static_cast<std::uint32_t>(i), db.labels[i]});
         }
       } else {
         // Local reduction at task level: only the chunk's k best leave.
@@ -75,7 +75,7 @@ std::vector<std::int32_t> mapreduce_classify(mpi::Comm& comm, const data::Labele
           }
         }
         for (const Neighbor& nb : best) {
-          out.emit_record(query_key(qi), Candidate{nb.dist2, nb.index, nb.label});
+          out.emit_record(key, Candidate{nb.dist2, nb.index, nb.label});
         }
       }
     }

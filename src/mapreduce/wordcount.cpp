@@ -75,27 +75,16 @@ std::vector<WordCount> word_count(mpi::Comm& comm, const std::string& text,
   mr.collate();
   mr.reduce(sum);
 
-  auto pairs = mr.gather(0);
-  std::vector<WordCount> result;
-  if (comm.rank() == 0) {
-    result.reserve(pairs.size());
-    for (const auto& kv : pairs) result.push_back({kv.key, unpack_record<std::uint64_t>(kv.value)});
-    std::sort(result.begin(), result.end(),
-              [](const WordCount& a, const WordCount& b) { return a.word < b.word; });
-  }
-  // Broadcast so every rank returns the same table (simplifies callers).
-  std::vector<KeyValue> flat;
-  if (comm.rank() == 0) {
-    for (const auto& r : result) flat.push_back({r.word, std::to_string(r.count)});
-  }
-  auto bytes = serialize_pairs(flat);
+  // Broadcast the gathered u64 count records as they are, so every rank
+  // decodes and returns the same table (simplifies callers).
+  auto bytes = serialize_pairs(mr.gather(0));
   comm.broadcast(bytes, 0);
-  if (comm.rank() != 0) {
-    result.clear();
-    for (const auto& kv : deserialize_pairs(bytes)) {
-      result.push_back({kv.key, std::stoull(kv.value)});
-    }
+  std::vector<WordCount> result;
+  for (const auto& kv : deserialize_pairs(bytes)) {
+    result.push_back({kv.key, unpack_record<std::uint64_t>(kv.value)});
   }
+  std::sort(result.begin(), result.end(),
+            [](const WordCount& a, const WordCount& b) { return a.word < b.word; });
   return result;
 }
 
