@@ -11,20 +11,11 @@
 /// shipped path.
 ///
 /// Usage:
-///   bench_substrates [--tiny] [--out FILE] [--profile FILE]
-///                    [--transport=inproc|shm|socket]
+///   bench_substrates [--tiny] [--out FILE] [--transport=inproc|shm|socket]
 ///
 /// --tiny shrinks every workload to smoke-test size (for scripts/check.sh
 /// bench-substrates-smoke: validates the wiring and the JSON schema, not
 /// the numbers).  Default output file: BENCH_substrates.json in the CWD.
-///
-/// Besides the legacy-twin rows, the harness sweeps the collective
-/// *algorithm* space (op × p × message size): for every cell it times
-/// each algorithm variant and records the full per-algorithm timing map
-/// (the crossover record), with `scalar_ns` = the compiled-in default
-/// algorithm and `kernel_ns` = whatever the profile given by --profile
-/// selects (no profile: the defaults again, speedup ~1).  This is the
-/// sweep scripts/check.sh tune-gate gates tuned-vs-default speedups on.
 ///
 /// Method: best-of-R wall time per benchmark; each timed run executes
 /// many collective rounds inside one mpi::run so buffer traffic, not
@@ -46,7 +37,6 @@
 #include "mpi/buffer_pool.hpp"
 #include "mpi/mpi.hpp"
 #include "support/timer.hpp"
-#include "tune/tune.hpp"
 
 namespace {
 
@@ -77,7 +67,6 @@ struct Row {
   double scalar_ns;     // legacy twin (pre-pool transport algorithms)
   double kernel_ns;     // shipped pooled / zero-copy path
   double speedup;
-  std::string extra;  // raw JSON appended to the row ("" or ", \"k\": v...")
 };
 
 std::vector<Row> g_rows;
@@ -105,7 +94,7 @@ void bench(const std::string& name, const std::string& shape, std::uint64_t item
                    }) *
                    1e9;
   const double v = ps::time_best_of(reps, [&] { fresh(); }) * 1e9;
-  g_rows.push_back({name, shape, items, s, v, s / v, ""});
+  g_rows.push_back({name, shape, items, s, v, s / v});
   std::printf("%-18s %-34s legacy %12.0f ns   pooled %12.0f ns   speedup %5.2fx\n",
               name.c_str(), shape.c_str(), s, v, s / v);
 }
@@ -367,200 +356,7 @@ void bench_shuffle(int ranks, std::size_t pairs, std::size_t value_bytes, int ro
       });
 }
 
-// ---------------------------------------------------------------------------
-// Collective-algorithm sweep (op × p × message size).
-
-namespace pt = peachy::tune;
-
-/// A Tunables snapshot that forces `algo` for `op` at every (p, bytes) —
-/// the knob the sweep turns to time one variant in isolation.
-pt::Tunables force_algo(pt::CollOp op, pt::CollAlgo algo) {
-  pt::Tunables t;
-  pt::CollRule rule;
-  rule.op = op;
-  rule.algo = algo;
-  t.coll_rules.push_back(rule);
-  return t;
-}
-
-/// Time `rounds` back-to-back collectives of `op` on p ranks with n
-/// doubles (per-rank block for allgather), under the given tunables.
-double time_coll(pt::CollOp op, int ranks, std::size_t n, int rounds, int reps,
-                 const pt::Tunables& tun) {
-  pm::RunOptions opts;
-  opts.tunables = &tun;
-  const double secs = ps::time_best_of(reps, [&] {
-    peachy::mpi::run(
-        ranks,
-        [op, n, rounds](pm::Comm& comm) {
-          std::vector<double> data(n, 1.0 + 1e-9 * comm.rank());
-          std::vector<double> all;
-          if (op == pt::CollOp::kAllgather) {
-            all.resize(n * static_cast<std::size_t>(comm.size()));
-          }
-          for (int r = 0; r < rounds; ++r) {
-            switch (op) {
-              case pt::CollOp::kBroadcast:
-                comm.broadcast_into<double>(std::span<double>{data}, 0);
-                break;
-              case pt::CollOp::kReduce:
-                comm.reduce_inplace<double>(std::span<double>{data}, std::plus<>{}, 0);
-                for (double& x : data) x = x * 1e-3 + 1.0;  // keep magnitudes O(1)
-                break;
-              case pt::CollOp::kAllreduce:
-                comm.allreduce_inplace<double>(std::span<double>{data}, std::plus<>{});
-                for (double& x : data) x = x * 1e-3 + 1.0;
-                break;
-              case pt::CollOp::kAllgather:
-                comm.allgather_into<double>(std::span<const double>{data},
-                                            std::span<double>{all});
-                break;
-            }
-          }
-          g_sink += op == pt::CollOp::kAllgather ? all.back() : data[0];
-        },
-        opts);
-  });
-  return secs * 1e9;
-}
-
-/// Algorithm variants worth timing per op.  kAuto is always first (it is
-/// the compiled-in default = the `scalar_ns` side); duplicates of the
-/// default path (binomial broadcast, ring allgather) are skipped, and
-/// recursive doubling only applies at power-of-two p.
-std::vector<pt::CollAlgo> sweep_algos(pt::CollOp op, int ranks) {
-  const bool pow2 = (ranks & (ranks - 1)) == 0;
-  std::vector<pt::CollAlgo> algos{pt::CollAlgo::kAuto, pt::CollAlgo::kLinear};
-  switch (op) {
-    case pt::CollOp::kBroadcast:
-      algos.push_back(pt::CollAlgo::kRing);  // pipeline chain
-      break;
-    case pt::CollOp::kReduce:
-      algos.push_back(pt::CollAlgo::kRing);
-      break;
-    case pt::CollOp::kAllreduce:
-      algos.push_back(pt::CollAlgo::kRing);
-      if (pow2) algos.push_back(pt::CollAlgo::kRecDouble);
-      break;
-    case pt::CollOp::kAllgather:
-      if (pow2) algos.push_back(pt::CollAlgo::kRecDouble);
-      break;
-  }
-  return algos;
-}
-
-/// One sweep cell: time every variant, emit a row whose scalar_ns is the
-/// default algorithm, kernel_ns the profile-selected one, and whose
-/// "algos" map records the whole crossover picture.
-void bench_coll(pt::CollOp op, int ranks, std::size_t n, int rounds, int reps,
-                const pt::Tunables& profile) {
-  const std::string name =
-      std::string{"coll_"} + pt::coll_op_name(op) + "_p" + std::to_string(ranks);
-  const std::string shape = "p=" + std::to_string(ranks) + " n=" + std::to_string(n) +
-                            " f64 rounds=" + std::to_string(rounds);
-  const auto items = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(rounds);
-
-  std::string algos_json = "\"algos\": {";
-  double default_ns = 0.0;
-  for (const pt::CollAlgo algo : sweep_algos(op, ranks)) {
-    const pt::Tunables forced = force_algo(op, algo);
-    const double ns = time_coll(op, ranks, n, rounds, reps, forced);
-    if (algo == pt::CollAlgo::kAuto) default_ns = ns;
-    char buf[96];
-    std::snprintf(buf, sizeof buf, "%s\"%s\": %.1f",
-                  algo == pt::CollAlgo::kAuto ? "" : ", ", pt::coll_algo_name(algo), ns);
-    algos_json += buf;
-  }
-  algos_json += "}";
-
-  // What the profile actually selects for this cell (byte size = the
-  // sized-variant contract bytes, matching what Comm passes at runtime).
-  const double tuned_ns = time_coll(op, ranks, n, rounds, reps, profile);
-  const pt::CollAlgo picked =
-      profile.coll_algo(op, ranks, static_cast<std::int64_t>(n * sizeof(double)));
-
-  g_rows.push_back({name, shape, items, default_ns, tuned_ns, default_ns / tuned_ns,
-                    ", " + algos_json + ", \"picked\": \"" + pt::coll_algo_name(picked) + "\""});
-  std::printf("%-18s %-34s default %11.0f ns   tuned [%s] %11.0f ns   speedup %5.2fx\n",
-              name.c_str(), shape.c_str(), default_ns, pt::coll_algo_name(picked), tuned_ns,
-              default_ns / tuned_ns);
-}
-
-/// One k-means-style assign+update step per rank — the paper's
-/// representative substrate mix: a distance-panel scan, a local
-/// accumulate, and an allreduce of the centroid sums (exercises the
-/// collective rules).  Times the compiled-in defaults against the
-/// profile; the scan's constants are compiled in and identical on both
-/// sides, so the row measures what the profile's collective rules buy a
-/// whole workload at this rank count.
-void bench_mix(int ranks, bool tiny, int reps, const pt::Tunables& profile) {
-  namespace pk = peachy::kernels;
-  const std::size_t n = tiny ? 32 : 1024;  // points per rank
-  const std::size_t d = 16;
-  const std::size_t k = tiny ? 8 : 512;
-  const int iters = tiny ? 1 : 4;
-  const std::size_t kp = pk::padded_count(k);
-
-  const auto run_once = [&](const pt::Tunables& tun) {
-    pm::RunOptions opts;
-    opts.tunables = &tun;
-    opts.transport = g_transport;
-    peachy::mpi::run(
-        ranks,
-        [&](pm::Comm& comm) {
-          std::vector<double> pts(n * d);
-          for (std::size_t i = 0; i < pts.size(); ++i) {
-            pts[i] = 0.01 * static_cast<double>((i * 7 + comm.rank()) % 97);
-          }
-          std::vector<double> panel(kp * d, 0.0);
-          for (std::size_t i = 0; i < panel.size(); ++i) {
-            panel[i] = 0.02 * static_cast<double>(i % 89);
-          }
-          std::vector<double> dist(n * k);
-          std::vector<double> acc(k * d + k);  // sums then counts
-          for (int it = 0; it < iters; ++it) {
-            pk::squared_distances_tile(pts.data(), n, d, panel.data(), k, kp, dist.data());
-            std::fill(acc.begin(), acc.end(), 0.0);
-            for (std::size_t i = 0; i < n; ++i) {
-              const double* row = dist.data() + i * k;
-              std::size_t best = 0;
-              for (std::size_t c = 1; c < k; ++c) {
-                if (row[c] < row[best]) best = c;
-              }
-              for (std::size_t j = 0; j < d; ++j) acc[best * d + j] += pts[i * d + j];
-              acc[k * d + best] += 1.0;
-            }
-            comm.allreduce_inplace<double>(std::span<double>{acc}, std::plus<>{});
-            for (std::size_t c = 0; c < k; ++c) {
-              const double cnt = acc[k * d + c];
-              if (cnt == 0.0) continue;
-              const std::size_t g = c / pk::kPanelLane, lane = c % pk::kPanelLane;
-              for (std::size_t j = 0; j < d; ++j) {
-                panel[(g * d + j) * pk::kPanelLane + lane] = acc[c * d + j] / cnt;
-              }
-            }
-          }
-          g_sink += panel[0];
-        },
-        opts);
-  };
-
-  const pt::Tunables defaults;
-  const double default_ns = ps::time_best_of(reps, [&] { run_once(defaults); }) * 1e9;
-  const double tuned_ns = ps::time_best_of(reps, [&] { run_once(profile); }) * 1e9;
-
-  const std::string name = "mix_kmeans_p" + std::to_string(ranks);
-  const std::string shape = "p=" + std::to_string(ranks) + " n/rank=" + std::to_string(n) +
-                            " k=" + std::to_string(k) + " d=" + std::to_string(d) +
-                            " iters=" + std::to_string(iters);
-  g_rows.push_back({name, shape,
-                    static_cast<std::uint64_t>(n) * k * static_cast<std::uint64_t>(iters),
-                    default_ns, tuned_ns, default_ns / tuned_ns, ""});
-  std::printf("%-18s %-34s default %11.0f ns   tuned %11.0f ns   speedup %5.2fx\n",
-              name.c_str(), shape.c_str(), default_ns, tuned_ns, default_ns / tuned_ns);
-}
-
-void run_all(bool tiny, const pt::Tunables& profile) {
+void run_all(bool tiny) {
   const int reps = tiny ? 1 : 7;
   const int rounds = tiny ? 1 : 20;
   for (const int p : {2, 4, 8}) {
@@ -573,26 +369,6 @@ void run_all(bool tiny, const pt::Tunables& profile) {
     bench_alltoall(p, tiny ? 64 : 8192, tiny ? 1 : 10, reps);
   }
   bench_shuffle(4, tiny ? 32 : 2000, tiny ? 8 : 256, tiny ? 1 : 5, reps);
-
-  // Collective-algorithm sweep: op × p × {small, large} message sizes.
-  const int coll_reps = tiny ? 1 : 5;
-  const int coll_rounds = tiny ? 1 : 20;
-  const std::vector<std::size_t> sizes =
-      tiny ? std::vector<std::size_t>{64} : std::vector<std::size_t>{256, 32768};
-  for (const pt::CollOp op : {pt::CollOp::kBroadcast, pt::CollOp::kReduce,
-                              pt::CollOp::kAllreduce, pt::CollOp::kAllgather}) {
-    for (const int p : {2, 4, 8}) {
-      for (const std::size_t n : sizes) {
-        bench_coll(op, p, n, coll_rounds, coll_reps, profile);
-      }
-    }
-  }
-
-  // End-to-end substrate mix per rank count: kernels + collectives under
-  // the whole profile at once.
-  for (const int p : {2, 4, 8}) {
-    bench_mix(p, tiny, coll_reps, profile);
-  }
 }
 
 void write_json(const std::string& path, bool tiny) {
@@ -611,9 +387,9 @@ void write_json(const std::string& path, bool tiny) {
     const Row& r = g_rows[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"shape\": \"%s\", \"items\": %llu, "
-                 "\"scalar_ns\": %.1f, \"kernel_ns\": %.1f, \"speedup\": %.3f%s}%s\n",
+                 "\"scalar_ns\": %.1f, \"kernel_ns\": %.1f, \"speedup\": %.3f}%s\n",
                  r.name.c_str(), r.shape.c_str(), static_cast<unsigned long long>(r.items),
-                 r.scalar_ns, r.kernel_ns, r.speedup, r.extra.c_str(),
+                 r.scalar_ns, r.kernel_ns, r.speedup,
                  i + 1 < g_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -626,14 +402,11 @@ void write_json(const std::string& path, bool tiny) {
 int main(int argc, char** argv) {
   bool tiny = false;
   std::string out = "BENCH_substrates.json";
-  std::string profile_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiny") == 0) {
       tiny = true;
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
-    } else if (std::strcmp(argv[i], "--profile") == 0 && i + 1 < argc) {
-      profile_path = argv[++i];
     } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
       try {
         g_transport = pm::parse_transport(argv[i] + 12);
@@ -643,30 +416,15 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: bench_substrates [--tiny] [--out FILE] [--profile FILE]"
+                   "usage: bench_substrates [--tiny] [--out FILE]"
                    " [--transport=inproc|shm|socket]\n");
       return 2;
-    }
-  }
-  // The sweep's tuned side: the named profile's tunables, or (no/bad
-  // profile) the compiled-in defaults, so speedup degrades to ~1 instead
-  // of the harness failing.
-  pt::Tunables profile = pt::defaults();
-  if (!profile_path.empty()) {
-    const pt::LoadResult lr = pt::load_profile_file(profile_path);
-    for (const std::string& w : lr.warnings) {
-      std::fprintf(stderr, "bench_substrates: %s\n", w.c_str());
-    }
-    if (lr.ok) {
-      profile = lr.profile.tunables;
-    } else {
-      std::fprintf(stderr, "bench_substrates: profile rejected, sweeping with defaults\n");
     }
   }
   std::printf("bench_substrates: legacy transport twins vs pooled zero-copy path%s"
               " (transport=%s)\n",
               tiny ? " (tiny smoke sizes)" : "", pm::transport_name(g_transport));
-  run_all(tiny, profile);
+  run_all(tiny);
   write_json(out, tiny);
   std::printf("sink=%g\n", g_sink);
   return 0;

@@ -66,14 +66,6 @@ for s in "${SUITES[@]}"; do
   BIN="$DIR/bench/bench_$s"
   BASELINE="$ROOT/BENCH_$s.json"
 
-  # The substrates harness sweeps collective algorithms against the
-  # committed tuning profile; run and baseline must use the same profile
-  # or the tuned-vs-default delta would read as a regression.
-  EXTRA=()
-  if [ "$s" = substrates ] && [ -f "$ROOT/TUNE_profile.json" ]; then
-    EXTRA=(--profile "$ROOT/TUNE_profile.json")
-  fi
-
   if [ "$HAVE_PASSTHROUGH" -eq 1 ]; then
     echo "==== [$s] passthrough ===="
     "$BIN" "${PASSTHROUGH[@]}" || status=$?
@@ -81,7 +73,7 @@ for s in "${SUITES[@]}"; do
   fi
 
   if [ "$UPDATE" -eq 1 ]; then
-    "$BIN" --out "$BASELINE" "${EXTRA[@]}"
+    "$BIN" --out "$BASELINE"
     echo "baseline refreshed: $BASELINE"
     continue
   fi
@@ -92,7 +84,7 @@ for s in "${SUITES[@]}"; do
   fi
 
   FRESH="$DIR/bench/BENCH_${s}_fresh.json"
-  "$BIN" --out "$FRESH" "${EXTRA[@]}"
+  "$BIN" --out "$FRESH"
   TOL="${TOLERANCE:-$(default_tolerance "$s")}"
   echo "==== [$s] compare (tolerance $TOL) ===="
   python3 "$ROOT/scripts/bench_compare.py" "$BASELINE" "$FRESH" --tolerance "$TOL" || status=$?

@@ -71,22 +71,8 @@
 #                 findings (the rules demonstrably fire), requires *zero*
 #                 findings over src/ + examples/ (the clean-tree gate),
 #                 and validates the peachy-lint/1 JSON document
-#   tune-smoke  — Release bench tree; runs a tiny peachy-tune session,
-#                 validates the emitted peachy-tune/2 profile schema,
-#                 reloads the profile through the PEACHY_TUNE startup
-#                 path (no loader warnings allowed; a peachy-tune/1
-#                 file must be rejected by name), then gates the
-#                 *no-profile* default path at <2% geomean slowdown vs
-#                 the committed kernel baseline — the tuning substrate
-#                 must cost nothing when unused
 #
-# plus one opt-in (not in the default matrix; full-size sweeps):
-#
-#   tune-gate   — the committed TUNE_profile.json must deliver >=1.2x
-#                 geomean over compiled-in defaults on the collective
-#                 sweep at two or more rank counts
-#
-# Usage: scripts/check.sh [config ...]     (default: all twelve)
+# Usage: scripts/check.sh [config ...]     (default: all eleven)
 
 set -euo pipefail
 
@@ -171,113 +157,10 @@ print(f"schema OK: {len(doc['benchmarks'])} benchmarks")
 EOF
   echo "==== [bench-substrates-smoke] full-size perf gate ===="
   local fresh="$dir/bench/BENCH_substrates_fresh.json"
-  # Same tuning profile as the committed baseline, so the collective
-  # sweep compares tuned-vs-tuned (see scripts/bench.sh).
-  local profile_args=()
-  if [ -f "$ROOT/TUNE_profile.json" ]; then
-    profile_args=(--profile "$ROOT/TUNE_profile.json")
-  fi
-  "$dir/bench/bench_substrates" --out "$fresh" "${profile_args[@]}"
+  "$dir/bench/bench_substrates" --out "$fresh"
   python3 "$ROOT/scripts/bench_compare.py" \
     "$ROOT/BENCH_substrates.json" "$fresh" --tolerance 0.15
   echo "==== [bench-substrates-smoke] OK ===="
-}
-
-run_tune_smoke() {
-  local dir="$ROOT/build-check-bench-smoke"
-  echo "==== [tune-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
-  echo "==== [tune-smoke] build ===="
-  cmake --build "$dir" --target peachy-tune bench_kernels bench_substrates -j "$JOBS"
-  echo "==== [tune-smoke] tiny tuning session ===="
-  local profile="$dir/tune_quick.json"
-  "$dir/tools/peachy-tune" --quick --out "$profile"
-  echo "==== [tune-smoke] validate peachy-tune/2 JSON ===="
-  python3 - "$profile" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["schema"] == "peachy-tune/2", doc.get("schema")
-assert isinstance(doc["isa"], str) and doc["isa"]
-# Scalar constants are compiled in; profiles carry collective rules only.
-assert "tunables" not in doc, doc["tunables"]
-ops = {"broadcast", "reduce", "allreduce", "allgather"}
-algos = {"auto", "linear", "binomial", "ring", "recdouble"}
-for rule in doc.get("collectives", []):
-    assert rule["op"] in ops and rule["algo"] in algos, rule
-print(f"profile OK: {len(doc.get('collectives', []))} collective rules, "
-      f"isa={doc['isa']}")
-EOF
-  echo "==== [tune-smoke] reload through PEACHY_TUNE ===="
-  # The startup loader must accept its own output silently; any named
-  # fallback warning on stderr fails the round-trip.  The reload runs
-  # bench_substrates because only mini-MPI runs resolve PEACHY_TUNE; the
-  # peachy-tune/1 control proves that this binary does read it.
-  local reload_err="$dir/tune_reload_err.txt"
-  PEACHY_TUNE="$profile" "$dir/bench/bench_substrates" --tiny \
-    --out "$dir/BENCH_substrates_tunesmoke.json" > /dev/null 2> "$reload_err"
-  if grep -q "peachy-tune" "$reload_err"; then
-    echo "tune-smoke: loader warned on its own emitted profile:" >&2
-    cat "$reload_err" >&2
-    exit 1
-  fi
-  local old_profile="$dir/tune_v1.json"
-  printf '{"schema": "peachy-tune/1", "tunables": {"grain": 8192}, "collectives": []}\n' \
-    > "$old_profile"
-  PEACHY_TUNE="$old_profile" "$dir/bench/bench_substrates" --tiny \
-    --out "$dir/BENCH_substrates_tunesmoke.json" > /dev/null 2> "$reload_err"
-  if ! grep -q "schema version mismatch" "$reload_err"; then
-    echo "tune-smoke: a peachy-tune/1 profile was not rejected by name:" >&2
-    cat "$reload_err" >&2
-    exit 1
-  fi
-  echo "reload OK: no loader warnings; peachy-tune/1 rejected by name"
-  echo "==== [tune-smoke] no-profile default-path overhead gate ===="
-  local fresh="$dir/bench/BENCH_kernels_tune.json"
-  "$dir/bench/bench_kernels" --repeat 5 --out "$fresh"
-  python3 "$ROOT/scripts/bench_compare.py" \
-    "$ROOT/BENCH_kernels.json" "$fresh" --tolerance 0.02
-  echo "==== [tune-smoke] OK ===="
-}
-
-run_tune_gate() {
-  # Acceptance gate for the committed tuning profile (opt-in: full-size
-  # collective sweeps, minutes of runtime): the profile must deliver a
-  # >=1.2x geomean speedup over the compiled-in defaults on the
-  # collective-algorithm sweep at two or more rank counts.
-  local dir="$ROOT/build-check-bench-smoke"
-  echo "==== [tune-gate] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
-  echo "==== [tune-gate] build ===="
-  cmake --build "$dir" --target bench_substrates -j "$JOBS"
-  echo "==== [tune-gate] sweep: compiled-in defaults ===="
-  local base="$dir/bench/BENCH_substrates_default.json"
-  "$dir/bench/bench_substrates" --out "$base"
-  echo "==== [tune-gate] sweep: committed profile ===="
-  local tuned="$dir/bench/BENCH_substrates_tuned.json"
-  "$dir/bench/bench_substrates" --out "$tuned" --profile "$ROOT/TUNE_profile.json"
-  echo "==== [tune-gate] >=1.2x geomean at >=2 rank counts ===="
-  local wins=0
-  for p in 2 4 8; do
-    # tolerance -0.167: fresh/base geomean must be <= 1/1.2 (a speedup
-    # gate, not a regression band).
-    if python3 "$ROOT/scripts/bench_compare.py" "$base" "$tuned" \
-         --filter "(coll|mix)_.*_p$p\$" --tolerance -0.167; then
-      echo "[tune-gate] p=$p: tuned >=1.2x"
-      wins=$((wins + 1))
-    else
-      echo "[tune-gate] p=$p: below 1.2x (allowed at one rank count)"
-    fi
-  done
-  if [ "$wins" -lt 2 ]; then
-    echo "tune-gate: profile reached 1.2x at only $wins rank count(s), need 2" >&2
-    exit 1
-  fi
-  echo "==== [tune-gate] OK ($wins/3 rank counts) ===="
 }
 
 run_obs_smoke() {
@@ -594,7 +477,7 @@ EOF
 
 configs=("$@")
 if [ "${#configs[@]}" -eq 0 ]; then
-  configs=(asan-ubsan tsan analysis bench-smoke bench-substrates-smoke obs-smoke faults-smoke lint-smoke tune-smoke transport-smoke transport-bench-smoke chaos-smoke)
+  configs=(asan-ubsan tsan analysis bench-smoke bench-substrates-smoke obs-smoke faults-smoke lint-smoke transport-smoke transport-bench-smoke chaos-smoke)
 fi
 
 for cfg in "${configs[@]}"; do
@@ -610,9 +493,7 @@ for cfg in "${configs[@]}"; do
     transport-smoke) run_transport_smoke ;;
     transport-bench-smoke) run_transport_bench_smoke ;;
     chaos-smoke) run_chaos_smoke ;;
-    tune-smoke)  run_tune_smoke ;;
-    tune-gate)   run_tune_gate ;;
-    *) echo "unknown config '$cfg' (expected: asan-ubsan, tsan, analysis, bench-smoke, bench-substrates-smoke, obs-smoke, faults-smoke, lint-smoke, tune-smoke, transport-smoke, transport-bench-smoke, chaos-smoke, tune-gate)" >&2; exit 2 ;;
+    *) echo "unknown config '$cfg' (expected: asan-ubsan, tsan, analysis, bench-smoke, bench-substrates-smoke, obs-smoke, faults-smoke, lint-smoke, transport-smoke, transport-bench-smoke, chaos-smoke)" >&2; exit 2 ;;
   esac
 done
 

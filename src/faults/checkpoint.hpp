@@ -147,13 +147,13 @@ class CheckpointStore {
 /// (`<sanitized key>.ckpt`), written atomically (unique temp file +
 /// rename) so a crash mid-save leaves the previous snapshot intact, never
 /// a torn file.  The format carries magic, version, and a trailing CRC32C
-/// over everything before it; `load()` treats any validation failure like
-/// tune's paranoid profile loading — warn, count
-/// (`faults.ckpt.corrupt`), and report "no snapshot" so the caller falls
-/// back to a fresh start.  `load_strict()` names the problem instead
-/// (CheckpointCorruptError) for callers and tests that must distinguish
-/// "absent" from "damaged".  Safe for concurrent processes sharing `dir`:
-/// rename is atomic and readers see either the old or the new file.
+/// over everything before it; `load()` treats any validation failure
+/// paranoidly — warn, count (`faults.ckpt.corrupt`), and report "no
+/// snapshot" so the caller falls back to a fresh start.  `load_strict()`
+/// names the problem instead (CheckpointCorruptError) for callers and
+/// tests that must distinguish "absent" from "damaged".  Safe for
+/// concurrent processes sharing `dir`: rename is atomic and readers see
+/// either the old or the new file.
 class DurableCheckpointStore final : public CheckpointStore {
  public:
   /// Creates `dir` if missing (one level; parent must exist).

@@ -12,7 +12,6 @@
 /// compute budget implicitly reassigned to the survivors' later rounds.
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "nn/mlp.hpp"
@@ -43,40 +42,5 @@ struct HalvingResult {
                                                const std::vector<nn::TrainConfig>& configs,
                                                std::size_t rounds, std::size_t epochs_per_round,
                                                support::ThreadPool& pool);
-
-/// Measurement callback for the generic overload below: score candidate
-/// `index` using `reps` repetitions and return the score.  Lower is
-/// better (think nanoseconds).  Called sequentially — timing one
-/// candidate while another runs would corrupt both measurements.
-using MeasureFn = std::function<double(std::size_t index, std::size_t reps)>;
-
-/// One candidate's trajectory through a measured halving run.
-struct MeasuredEntry {
-  std::size_t candidate = 0;               ///< index in [0, candidates)
-  std::vector<double> score_per_round;     ///< after each round it survived
-  bool survived_to_end = false;
-};
-
-/// Result of the generic (measurement-driven) successive-halving run.
-struct MeasuredHalvingResult {
-  std::vector<MeasuredEntry> history;      ///< one entry per candidate
-  std::vector<std::size_t> final_ranking;  ///< survivors, best (lowest) first
-  std::size_t rounds = 0;
-  std::size_t total_reps = 0;              ///< measurement budget actually spent
-};
-
-/// Generic successive halving over `candidates` opaque configurations
-/// scored by `measure` (lower is better).  Same economics as the model
-/// variant: every round re-measures the survivors and kills the bottom
-/// half (ties: lower index survives), so the repetition budget freed by
-/// the losers is spent measuring the finalists more precisely — round r
-/// uses base_reps << r repetitions, cheap noisy screening first, deep
-/// low-variance timing only for the configurations that earned it.
-/// This is what tools/peachy-tune drives the kernel/collective
-/// benchmark space with.
-[[nodiscard]] MeasuredHalvingResult successive_halving_measured(std::size_t candidates,
-                                                                std::size_t rounds,
-                                                                std::size_t base_reps,
-                                                                const MeasureFn& measure);
 
 }  // namespace peachy::hpo

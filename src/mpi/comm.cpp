@@ -3,65 +3,6 @@
 
 namespace peachy::mpi {
 
-namespace detail {
-
-const char* coll_algo_counter_name(tune::CollAlgo algo) noexcept {
-  switch (algo) {
-    case tune::CollAlgo::kAuto: return "mpi.coll.algo.auto";
-    case tune::CollAlgo::kLinear: return "mpi.coll.algo.linear";
-    case tune::CollAlgo::kBinomial: return "mpi.coll.algo.binomial";
-    case tune::CollAlgo::kRing: return "mpi.coll.algo.ring";
-    case tune::CollAlgo::kRecDouble: return "mpi.coll.algo.recdouble";
-  }
-  return "mpi.coll.algo.auto";
-}
-
-const char* coll_span_name(tune::CollOp op, tune::CollAlgo algo) noexcept {
-  // obs keeps span-name pointers until export, so every (op, algo) pair
-  // maps to a string literal here instead of a formatted string.
-  switch (op) {
-    case tune::CollOp::kBroadcast:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "broadcast[linear]";
-        case tune::CollAlgo::kBinomial: return "broadcast[binomial]";
-        case tune::CollAlgo::kRing: return "broadcast[ring]";
-        case tune::CollAlgo::kRecDouble: return "broadcast[recdouble]";
-        case tune::CollAlgo::kAuto: return "broadcast[auto]";
-      }
-      return "broadcast[auto]";
-    case tune::CollOp::kReduce:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "reduce[linear]";
-        case tune::CollAlgo::kBinomial: return "reduce[binomial]";
-        case tune::CollAlgo::kRing: return "reduce[ring]";
-        case tune::CollAlgo::kRecDouble: return "reduce[recdouble]";
-        case tune::CollAlgo::kAuto: return "reduce[auto]";
-      }
-      return "reduce[auto]";
-    case tune::CollOp::kAllreduce:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "allreduce[linear]";
-        case tune::CollAlgo::kBinomial: return "allreduce[binomial]";
-        case tune::CollAlgo::kRing: return "allreduce[ring]";
-        case tune::CollAlgo::kRecDouble: return "allreduce[recdouble]";
-        case tune::CollAlgo::kAuto: return "allreduce[auto]";
-      }
-      return "allreduce[auto]";
-    case tune::CollOp::kAllgather:
-      switch (algo) {
-        case tune::CollAlgo::kLinear: return "allgather[linear]";
-        case tune::CollAlgo::kBinomial: return "allgather[binomial]";
-        case tune::CollAlgo::kRing: return "allgather[ring]";
-        case tune::CollAlgo::kRecDouble: return "allgather[recdouble]";
-        case tune::CollAlgo::kAuto: return "allgather[auto]";
-      }
-      return "allgather[auto]";
-  }
-  return "coll[auto]";
-}
-
-}  // namespace detail
-
 void Comm::barrier() {
   const int tag = begin_collective({"barrier", -1, 1, -1});
   const int p = size();
@@ -85,17 +26,13 @@ void Comm::broadcast_bytes(std::vector<std::byte>& data, int root) {
   const int tag = begin_collective(
       {"broadcast", root, 1,
        rank_ == root ? static_cast<std::int64_t>(data.size()) : std::int64_t{-1}});
-  // Non-roots don't know the payload size in advance, so only
-  // byte-unconstrained rules can select an algorithm here.
-  const tune::CollAlgo algo = pick_algo_(tune::CollOp::kBroadcast, tune::kBytesUnknown);
-  const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kBroadcast, algo),
-                            "algo", static_cast<std::int64_t>(algo)};
+  const obs::SpanScope span{"mpi", "broadcast"};
   PayloadBuffer buf;
   if (rank_ == root) {
     buf = BufferPool::instance().acquire(data.size());
     if (!data.empty()) std::memcpy(buf.mutable_data(), data.data(), data.size());
   }
-  bcast_payload_algo(buf, root, tag, algo);
+  bcast_payload(buf, root, tag);
   if (rank_ != root) data = buf.release_bytes();
 }
 
@@ -127,49 +64,6 @@ void Comm::bcast_payload(PayloadBuffer& buf, int root, int tag) {
   }
 }
 
-void Comm::bcast_payload_algo(PayloadBuffer& buf, int root, int tag, tune::CollAlgo algo) {
-  switch (algo) {
-    case tune::CollAlgo::kLinear:
-      bcast_payload_linear(buf, root, tag);
-      return;
-    case tune::CollAlgo::kRing:
-      bcast_payload_chain(buf, root, tag);
-      return;
-    default:
-      // kAuto, kBinomial — and kRecDouble, which has no broadcast form —
-      // all take the historical binomial tree.
-      bcast_payload(buf, root, tag);
-      return;
-  }
-}
-
-void Comm::bcast_payload_linear(PayloadBuffer& buf, int root, int tag) {
-  const int p = size();
-  if (p == 1) return;
-  if (rank_ == root) {
-    // One round: p−1 refcount bumps of the same pooled payload.  On the
-    // in-process transport there is no serialization to overlap, so the
-    // tree's extra hops buy nothing — this is the latency-optimal shape
-    // the tuner usually picks at small p.
-    for (int k = 1; k < p; ++k) {
-      const int dest = (root + k) % p;
-      machine_->post_move(world_rank(), to_world(dest), tag, buf.share(), comm_id_);
-    }
-    return;
-  }
-  buf = recv_buffer(root, tag);
-}
-
-void Comm::bcast_payload_chain(PayloadBuffer& buf, int root, int tag) {
-  const int p = size();
-  if (p == 1) return;
-  const int vrank = (rank_ - root + p) % p;
-  if (vrank != 0) buf = recv_buffer((rank_ - 1 + p) % p, tag);
-  if (vrank + 1 < p) {
-    machine_->post_move(world_rank(), to_world((rank_ + 1) % p), tag, buf.share(), comm_id_);
-  }
-}
-
 void Comm::allgather_blocks_ring(std::vector<PayloadBuffer>& blocks, int tag) {
   const int p = size();
   const int right = (rank_ + 1) % p;
@@ -180,44 +74,6 @@ void Comm::allgather_blocks_ring(std::vector<PayloadBuffer>& blocks, int tag) {
     machine_->post_move(world_rank(), to_world(right), tag,
                         blocks[static_cast<std::size_t>(send_block)].share(), comm_id_);
     blocks[static_cast<std::size_t>(recv_block)] = recv_buffer(left, tag);
-  }
-}
-
-void Comm::allgather_blocks_linear(std::vector<PayloadBuffer>& blocks, int tag) {
-  // Direct exchange: everyone posts its own block to everyone (buffered
-  // sends never block), then drains p−1 receives.  Same total message
-  // count as the ring, one round of latency instead of p−1.
-  const int p = size();
-  for (int k = 1; k < p; ++k) {
-    const int dest = (rank_ + k) % p;
-    machine_->post_move(world_rank(), to_world(dest), tag,
-                        blocks[static_cast<std::size_t>(rank_)].share(), comm_id_);
-  }
-  for (int k = 1; k < p; ++k) {
-    const int src = (rank_ - k + p) % p;
-    blocks[static_cast<std::size_t>(src)] = recv_buffer(src, tag);
-  }
-}
-
-void Comm::allgather_blocks_recdouble(std::vector<PayloadBuffer>& blocks, int tag) {
-  // Recursive doubling (power-of-two p, enforced at selection): at round
-  // k this rank holds the 2^k blocks of its mask-aligned group and
-  // trades them all with its partner in the paired group.  Blocks travel
-  // in ascending index order both ways, and FIFO matching per
-  // (source, tag) keeps them in order — same total message count as the
-  // ring, log2(p) rounds of latency.
-  const int p = size();
-  for (int mask = 1; mask < p; mask <<= 1) {
-    const int partner = rank_ ^ mask;
-    const int my_base = rank_ & ~(mask - 1);
-    const int partner_base = partner & ~(mask - 1);
-    for (int b = my_base; b < my_base + mask; ++b) {
-      machine_->post_move(world_rank(), to_world(partner), tag,
-                          blocks[static_cast<std::size_t>(b)].share(), comm_id_);
-    }
-    for (int b = partner_base; b < partner_base + mask; ++b) {
-      blocks[static_cast<std::size_t>(b)] = recv_buffer(partner, tag);
-    }
   }
 }
 

@@ -12,10 +12,11 @@
 /// transport-owned storage or relinquish ownership (`send_move`), so all
 /// the ordering/matching hazards of real MPI code are preserved.
 ///
-/// Collectives are implemented *on top of point-to-point* with the
-/// classic algorithms (dissemination barrier, binomial-tree bcast/reduce,
-/// ring allgather), so the runtime's message/byte counters have the same
-/// shape as a real MPI trace — several experiments report them.
+/// Collectives are implemented *on top of point-to-point*, one classic
+/// algorithm each (DESIGN.md §14): dissemination barrier, binomial-tree
+/// broadcast and reduce, allreduce as reduce-to-0 then broadcast, and
+/// ring allgather.  The runtime's message/byte counters therefore have
+/// the same shape as a real MPI trace — several experiments report them.
 ///
 /// **Transport (DESIGN.md §11).**  Payloads live in pooled, refcounted
 /// buffers (buffer_pool.hpp): `post` costs one memcpy and zero
@@ -60,7 +61,6 @@
 #include "obs/obs.hpp"
 #include "support/check.hpp"
 #include "support/parallel_for.hpp"
-#include "tune/tune.hpp"
 
 namespace peachy::mpi {
 
@@ -107,7 +107,6 @@ class Machine : public TransportSink {
   explicit Machine(int nranks, analysis::CheckLevel check = analysis::CheckLevel::off,
                    const faults::FaultPlan* plan = nullptr,
                    std::uint64_t default_timeout_ns = 0,
-                   const tune::Tunables* tunables = nullptr,
                    TransportKind transport = TransportKind::kInproc);
 
   /// Poisons every mailbox if ranks are still blocked in take() (named
@@ -191,11 +190,6 @@ class Machine : public TransportSink {
   [[nodiscard]] std::uint64_t default_timeout_ns() const noexcept {
     return default_timeout_ns_;
   }
-  /// The tunables snapshot this machine was constructed with (explicit
-  /// RunOptions profile, else tune::active()).  Pinned for the machine's
-  /// lifetime so every rank — and every round of every collective —
-  /// selects against the same profile.
-  [[nodiscard]] const tune::Tunables& tunables() const noexcept { return *tunables_; }
   [[nodiscard]] faults::FaultInjector* injector() noexcept { return injector_.get(); }
   [[nodiscard]] int size() const noexcept { return static_cast<int>(boxes_.size()); }
   [[nodiscard]] TrafficStats stats() const noexcept;
@@ -244,7 +238,6 @@ class Machine : public TransportSink {
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::unique_ptr<analysis::MpiChecker> checker_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  const tune::Tunables* tunables_ = nullptr;
   std::uint64_t default_timeout_ns_ = 0;
   std::atomic<bool> aborted_{false};
   std::string abort_reason_;
@@ -275,14 +268,6 @@ class Machine : public TransportSink {
   /// destructor also detaches explicitly; this is belt and braces).
   std::unique_ptr<Transport> transport_;
 };
-
-/// obs counter name for a selected collective algorithm
-/// ("mpi.coll.algo.<name>").  Returns string literals, as obs requires.
-[[nodiscard]] const char* coll_algo_counter_name(tune::CollAlgo algo) noexcept;
-
-/// Span name carrying the op and its selected algorithm (e.g.
-/// "allreduce[ring]") so traces show which path ran.  String literals.
-[[nodiscard]] const char* coll_span_name(tune::CollOp op, tune::CollAlgo algo) noexcept;
 
 }  // namespace detail
 
@@ -515,8 +500,6 @@ class Comm {
   void broadcast_bytes(std::vector<std::byte>& data, int root);
 
   /// Typed broadcast: after the call every rank holds root's vector.
-  /// Non-roots do not know the payload size in advance, so algorithm
-  /// selection uses tune::kBytesUnknown (byte-unconstrained rules only).
   template <typename T>
   void broadcast(std::vector<T>& data, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -524,15 +507,13 @@ class Comm {
     const int tag = begin_collective(
         {"broadcast", root, 1,
          rank_ == root ? static_cast<std::int64_t>(data.size() * sizeof(T)) : std::int64_t{-1}});
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kBroadcast, tune::kBytesUnknown);
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kBroadcast, algo),
-                              "algo", static_cast<std::int64_t>(algo)};
+    const obs::SpanScope span{"mpi", "broadcast"};
     PayloadBuffer buf;
     if (rank_ == root) {
       buf = BufferPool::instance().acquire(data.size() * sizeof(T));
       if (!data.empty()) std::memcpy(buf.mutable_data(), data.data(), buf.size());
     }
-    bcast_payload_algo(buf, root, tag, algo);
+    bcast_payload(buf, root, tag);
     if (rank_ != root) {
       PEACHY_CHECK(buf.size() % sizeof(T) == 0, "broadcast: size mismatch");
       data.resize(buf.size() / sizeof(T));
@@ -558,18 +539,13 @@ class Comm {
     const int tag = begin_collective(
         {"broadcast", root, 1,
          rank_ == root ? static_cast<std::int64_t>(data.size() * sizeof(T)) : std::int64_t{-1}});
-    // Every rank passes an equal-length span, so the byte count is a
-    // rank-symmetric selection key here (unlike plain broadcast).
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kBroadcast,
-                                           static_cast<std::int64_t>(data.size() * sizeof(T)));
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kBroadcast, algo),
-                              "algo", static_cast<std::int64_t>(algo)};
+    const obs::SpanScope span{"mpi", "broadcast"};
     PayloadBuffer buf;
     if (rank_ == root) {
       buf = BufferPool::instance().acquire(data.size() * sizeof(T));
       if (!data.empty()) std::memcpy(buf.mutable_data(), data.data(), buf.size());
     }
-    bcast_payload_algo(buf, root, tag, algo);
+    bcast_payload(buf, root, tag);
     if (rank_ != root) {
       PEACHY_CHECK(buf.size() == data.size() * sizeof(T),
                    "broadcast_into: received " + std::to_string(buf.size()) +
@@ -590,25 +566,11 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(alignof(T) <= alignof(std::max_align_t),
                   "reduce reads contributions in place from pooled storage");
+    PEACHY_CHECK(root >= 0 && root < size(), "reduce: bad root");
     const int tag = begin_collective({"reduce", root, sizeof(T),
                                       static_cast<std::int64_t>(data.size())});
-    // Contribution sizes are checked equal on every rank, so the byte
-    // count is a rank-symmetric selection key.
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kReduce,
-                                           static_cast<std::int64_t>(data.size() * sizeof(T)));
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kReduce, algo),
-                              "algo", static_cast<std::int64_t>(algo)};
-    switch (algo) {
-      case tune::CollAlgo::kLinear:
-        reduce_linear_(data, op, root, tag);
-        return;
-      case tune::CollAlgo::kRing:
-        reduce_ring_(data, op, root, tag);
-        return;
-      default:
-        reduce_binomial_(data, op, root, tag);
-        return;
-    }
+    const obs::SpanScope span{"mpi", "reduce"};
+    reduce_binomial_(data, op, root, tag);
   }
 
   /// Binomial-tree reduction with element-wise op; result valid at root
@@ -622,36 +584,14 @@ class Comm {
     return acc;
   }
 
-  /// In-place allreduce: on return every rank's `data` holds the
-  /// element-wise combination — the *same bytes* on every rank, whichever
-  /// algorithm the profile selects (each algorithm pins one canonical
-  /// combine order computed identically everywhere).  The default (and
-  /// the binomial selection) is the historical reduce-to-0-then-broadcast
-  /// composition, whose two legs run their own selection; ring,
-  /// recursive-doubling, and linear run as a single collective.  Zero
-  /// allocations in steady state.
+  /// In-place allreduce: reduce to rank 0, then broadcast, so on return
+  /// every rank's `data` holds the *same bytes* (the binomial tree pins
+  /// one combine order per p).  Zero allocations in steady state.
   template <typename T, typename Op>
   void allreduce_inplace(std::span<T> data, Op op) {
     static_assert(std::is_trivially_copyable_v<T>);
     static_assert(alignof(T) <= alignof(std::max_align_t),
                   "allreduce reads contributions in place from pooled storage");
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kAllreduce,
-                                           static_cast<std::int64_t>(data.size() * sizeof(T)));
-    if (algo == tune::CollAlgo::kRing || algo == tune::CollAlgo::kRecDouble ||
-        algo == tune::CollAlgo::kLinear) {
-      const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kAllreduce, algo),
-                                "algo", static_cast<std::int64_t>(algo)};
-      const int tag = begin_collective({"allreduce", -1, sizeof(T),
-                                        static_cast<std::int64_t>(data.size())});
-      if (algo == tune::CollAlgo::kRing) {
-        allreduce_ring_(data, op, tag);
-      } else if (algo == tune::CollAlgo::kRecDouble) {
-        allreduce_recdouble_(data, op, tag);
-      } else {
-        allreduce_linear_(data, op, tag);
-      }
-      return;
-    }
     reduce_inplace<T, Op>(data, op, 0);
     broadcast_into<T>(data, 0);
   }
@@ -678,6 +618,7 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<T> gather(std::span<const T> local, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
+    PEACHY_CHECK(root >= 0 && root < size(), "gather: bad root");
     const int tag = begin_collective({"gather", root, sizeof(T), -1});
     if (rank_ != root) {
       coll_send<T>(root, tag, local);
@@ -716,11 +657,7 @@ class Comm {
   [[nodiscard]] std::vector<T> allgather(std::span<const T> local) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
-    // Contribution sizes may differ per rank (gatherv semantics), so no
-    // rank-symmetric byte key exists — only unconstrained rules match.
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kAllgather, tune::kBytesUnknown);
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kAllgather, algo),
-                              "algo", static_cast<std::int64_t>(algo)};
+    const obs::SpanScope span{"mpi", "allgather"};
     const int p = size();
     std::vector<PayloadBuffer> blocks(static_cast<std::size_t>(p));
     blocks[static_cast<std::size_t>(rank_)] =
@@ -729,13 +666,7 @@ class Comm {
       std::memcpy(blocks[static_cast<std::size_t>(rank_)].mutable_data(), local.data(),
                   local.size() * sizeof(T));
     }
-    if (algo == tune::CollAlgo::kLinear) {
-      allgather_blocks_linear(blocks, tag);
-    } else if (algo == tune::CollAlgo::kRecDouble) {
-      allgather_blocks_recdouble(blocks, tag);
-    } else {
-      allgather_blocks_ring(blocks, tag);
-    }
+    allgather_blocks_ring(blocks, tag);
     for (int r = 0; r < p; ++r) {
       PEACHY_CHECK(blocks[static_cast<std::size_t>(r)].size() % sizeof(T) == 0,
                    "allgather: payload size not a multiple of sizeof(T)");
@@ -762,12 +693,7 @@ class Comm {
   void allgather_into(std::span<const T> local, std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
-    // The full output span has the same length on every rank (the static
-    // block contract), so its byte count is a symmetric selection key.
-    const tune::CollAlgo algo = pick_algo_(tune::CollOp::kAllgather,
-                                           static_cast<std::int64_t>(out.size() * sizeof(T)));
-    const obs::SpanScope span{"mpi", detail::coll_span_name(tune::CollOp::kAllgather, algo),
-                              "algo", static_cast<std::int64_t>(algo)};
+    const obs::SpanScope span{"mpi", "allgather"};
     const int p = size();
     const auto mine = support::static_block(out.size(), static_cast<std::size_t>(p),
                                             static_cast<std::size_t>(rank_));
@@ -779,36 +705,6 @@ class Comm {
       std::memcpy(out.data() + mine.begin, local.data(), local.size() * sizeof(T));
     }
     if (p == 1) return;
-    if (algo == tune::CollAlgo::kLinear || algo == tune::CollAlgo::kRecDouble) {
-      // Variant paths run the block exchange over pooled buffers, then
-      // place each block by its static offset (sizes are all computable
-      // from the shared output length, so placement needs no extra
-      // metadata).
-      std::vector<PayloadBuffer> blocks(static_cast<std::size_t>(p));
-      blocks[static_cast<std::size_t>(rank_)] =
-          BufferPool::instance().acquire(local.size() * sizeof(T));
-      if (!local.empty()) {
-        std::memcpy(blocks[static_cast<std::size_t>(rank_)].mutable_data(), local.data(),
-                    local.size() * sizeof(T));
-      }
-      if (algo == tune::CollAlgo::kLinear) {
-        allgather_blocks_linear(blocks, tag);
-      } else {
-        allgather_blocks_recdouble(blocks, tag);
-      }
-      for (int r = 0; r < p; ++r) {
-        if (r == rank_) continue;
-        const PayloadBuffer& b = blocks[static_cast<std::size_t>(r)];
-        const auto blk = support::static_block(out.size(), static_cast<std::size_t>(p),
-                                               static_cast<std::size_t>(r));
-        PEACHY_CHECK(b.size() == (blk.end - blk.begin) * sizeof(T),
-                     "allgather_into: received " + std::to_string(b.size()) +
-                         " bytes for block " + std::to_string(r) + " (expected " +
-                         std::to_string((blk.end - blk.begin) * sizeof(T)) + ")");
-        if (!b.empty()) std::memcpy(out.data() + blk.begin, b.data(), b.size());
-      }
-      return;
-    }
     PayloadBuffer cur = BufferPool::instance().acquire(local.size() * sizeof(T));
     if (!local.empty()) std::memcpy(cur.mutable_data(), local.data(), local.size() * sizeof(T));
     const int right = (rank_ + 1) % p;
@@ -831,6 +727,7 @@ class Comm {
   /// rank's block (OpenMP/Chapel block-partition rule).
   template <typename T>
   [[nodiscard]] std::vector<T> scatter_blocks(std::span<const T> all, int root) {
+    PEACHY_CHECK(root >= 0 && root < size(), "scatter: bad root");
     const int tag = begin_collective(
         {"scatter", root, sizeof(T),
          rank_ == root ? static_cast<std::int64_t>(all.size()) : std::int64_t{-1}});
@@ -946,52 +843,18 @@ class Comm {
                  "send: user tags must be in [0, 2^30)");
   }
 
-  // ---- algorithmic collectives (peachy::tune, DESIGN.md §14) ---------------
-  // Selection is communication-free: every rank resolves the same
-  // (op, p, bytes) key against the machine's pinned tunables snapshot and
-  // branches to the same algorithm without agreeing on it explicitly.
-  // `bytes` must therefore be rank-symmetric; operations whose payload
-  // size non-roots cannot know in advance pass tune::kBytesUnknown, which
-  // matches only byte-unconstrained rules.  kAuto always means the
-  // historical default path, byte-for-byte, so a run with no profile
-  // loaded produces exactly the pre-tune traffic.
-
-  /// Resolve the algorithm for one collective call and bump its
-  /// `mpi.coll.algo.<name>` counter.
-  [[nodiscard]] tune::CollAlgo pick_algo_(tune::CollOp op, std::int64_t bytes) {
-    const tune::CollAlgo algo = machine_->tunables().coll_algo(op, size(), bytes);
-    if (obs::enabled()) obs::counter(detail::coll_algo_counter_name(algo)).add(1);
-    return algo;
-  }
-
   /// Binomial-tree broadcast of a pooled payload along `tag`'s edges:
   /// at root `buf` is the payload to send (forwarded to each child by
   /// refcount bump); at non-root, `buf` holds the received payload on
   /// return, after forwarding it down this rank's subtree.
   void bcast_payload(PayloadBuffer& buf, int root, int tag);
 
-  /// Flat broadcast: root posts the payload to every other rank (p−1
-  /// refcount bumps, one round); non-roots do a single receive.
-  void bcast_payload_linear(PayloadBuffer& buf, int root, int tag);
-
-  /// Chain broadcast: the payload hops rank to rank around the ring
-  /// starting at root (p−1 sequential hops, each a refcount bump).
-  void bcast_payload_chain(PayloadBuffer& buf, int root, int tag);
-
-  /// Dispatch on the selected broadcast algorithm (kAuto → binomial, the
-  /// historical default; kRecDouble has no broadcast form and also takes
-  /// the default path).
-  void bcast_payload_algo(PayloadBuffer& buf, int root, int tag, tune::CollAlgo algo);
-
   /// Block-exchange engines behind allgather/allgather_into.  On entry
   /// `blocks[rank_]` holds this rank's contribution; on return every
   /// slot is filled.  All forwarding is by refcount bump.
   void allgather_blocks_ring(std::vector<PayloadBuffer>& blocks, int tag);
-  void allgather_blocks_linear(std::vector<PayloadBuffer>& blocks, int tag);
-  void allgather_blocks_recdouble(std::vector<PayloadBuffer>& blocks, int tag);
 
-  /// The historical binomial-tree reduction (the kAuto path): combine
-  /// order is "own value first, then each arriving subtree in mask
+  /// Binomial-tree reduction: combine order is "own value first, then each arriving subtree in mask
   /// order" — pinned per (p, root), so float results repeat bit-for-bit.
   template <typename T, typename Op>
   void reduce_binomial_(std::span<T> data, Op op, int root, int tag) {
@@ -1015,161 +878,6 @@ class Comm {
         return;
       }
       mask <<= 1;
-    }
-  }
-
-  /// Flat reduction: every non-root sends its contribution to root in
-  /// one round; root folds them in ascending rank order (the pinned
-  /// combine order), starting from its own value.
-  template <typename T, typename Op>
-  void reduce_linear_(std::span<T> data, Op op, int root, int tag) {
-    const int p = size();
-    if (p == 1) return;
-    if (rank_ != root) {
-      coll_send<T>(root, tag, std::span<const T>{data.data(), data.size()});
-      return;
-    }
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      const PayloadBuffer part = recv_buffer(r, tag);
-      PEACHY_CHECK(part.size() == data.size() * sizeof(T),
-                   "reduce: contribution size mismatch");
-      const T* in = reinterpret_cast<const T*>(part.data());
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] = op(data[i], in[i]);
-    }
-  }
-
-  /// Ring reduce-scatter over static_block chunks: p−1 rounds, each rank
-  /// forwarding its running partial for one chunk to the right and
-  /// folding the arriving partial from the left into its own data.
-  /// Chunk c's contributions fold in ring order c, c+1, …, c−1 (the
-  /// pinned combine order), finishing at rank (c−1+p)%p — equivalently,
-  /// rank r ends owning the fully-reduced chunk (r+1)%p in place.
-  template <typename T, typename Op>
-  void ring_reduce_scatter_(std::span<T> data, Op op, int tag) {
-    const int p = size();
-    const std::size_t n = data.size();
-    const int right = (rank_ + 1) % p;
-    const int left = (rank_ - 1 + p) % p;
-    for (int s = 0; s < p - 1; ++s) {
-      const int send_chunk = (rank_ - s + p) % p;
-      const int recv_chunk = (rank_ - s - 1 + p) % p;
-      const auto sb = support::static_block(n, static_cast<std::size_t>(p),
-                                            static_cast<std::size_t>(send_chunk));
-      coll_send<T>(right, tag, std::span<const T>{data.data() + sb.begin, sb.end - sb.begin});
-      const auto rb = support::static_block(n, static_cast<std::size_t>(p),
-                                            static_cast<std::size_t>(recv_chunk));
-      const PayloadBuffer part = recv_buffer(left, tag);
-      PEACHY_CHECK(part.size() == (rb.end - rb.begin) * sizeof(T),
-                   "reduce: contribution size mismatch");
-      const T* in = reinterpret_cast<const T*>(part.data());
-      for (std::size_t i = 0; i < rb.end - rb.begin; ++i) {
-        data[rb.begin + i] = op(in[i], data[rb.begin + i]);
-      }
-    }
-  }
-
-  /// Ring reduction: reduce-scatter, then every rank ships its owned
-  /// fully-reduced chunk to root, which assembles them in place.
-  template <typename T, typename Op>
-  void reduce_ring_(std::span<T> data, Op op, int root, int tag) {
-    const int p = size();
-    if (p == 1) return;
-    ring_reduce_scatter_(data, op, tag);
-    const int own_chunk = (rank_ + 1) % p;
-    const auto ob = support::static_block(data.size(), static_cast<std::size_t>(p),
-                                          static_cast<std::size_t>(own_chunk));
-    if (rank_ != root) {
-      coll_send<T>(root, tag, std::span<const T>{data.data() + ob.begin, ob.end - ob.begin});
-      return;
-    }
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      const int chunk = (r + 1) % p;
-      const auto cb = support::static_block(data.size(), static_cast<std::size_t>(p),
-                                            static_cast<std::size_t>(chunk));
-      // FIFO per (source, tag) keeps this gather round behind the same
-      // source's reduce-scatter rounds, so one tag serves both phases.
-      const PayloadBuffer part = recv_buffer(r, tag);
-      PEACHY_CHECK(part.size() == (cb.end - cb.begin) * sizeof(T),
-                   "reduce: contribution size mismatch");
-      if (!part.empty()) std::memcpy(data.data() + cb.begin, part.data(), part.size());
-    }
-  }
-
-  /// Ring allreduce: reduce-scatter, then p−1 allgather rounds forwarding
-  /// the newest complete chunk.  Every rank ends with identical bytes
-  /// (each chunk was folded exactly once, in ring order).
-  template <typename T, typename Op>
-  void allreduce_ring_(std::span<T> data, Op op, int tag) {
-    const int p = size();
-    if (p == 1) return;
-    ring_reduce_scatter_(data, op, tag);
-    const std::size_t n = data.size();
-    const int right = (rank_ + 1) % p;
-    const int left = (rank_ - 1 + p) % p;
-    for (int s = 0; s < p - 1; ++s) {
-      const int send_chunk = (rank_ + 1 - s + p) % p;
-      const int recv_chunk = (rank_ - s + p) % p;
-      const auto sb = support::static_block(n, static_cast<std::size_t>(p),
-                                            static_cast<std::size_t>(send_chunk));
-      coll_send<T>(right, tag, std::span<const T>{data.data() + sb.begin, sb.end - sb.begin});
-      const auto rb = support::static_block(n, static_cast<std::size_t>(p),
-                                            static_cast<std::size_t>(recv_chunk));
-      const PayloadBuffer part = recv_buffer(left, tag);
-      PEACHY_CHECK(part.size() == (rb.end - rb.begin) * sizeof(T),
-                   "allreduce: chunk size mismatch");
-      if (!part.empty()) std::memcpy(data.data() + rb.begin, part.data(), part.size());
-    }
-  }
-
-  /// Recursive-doubling allreduce (power-of-two p, enforced at
-  /// selection): log2(p) rounds of pairwise full-vector exchange.  Both
-  /// partners fold with the *lower-ranked* side as the left operand, so
-  /// every rank of every pair — inductively, every rank — computes
-  /// bit-identical accumulators.
-  template <typename T, typename Op>
-  void allreduce_recdouble_(std::span<T> data, Op op, int tag) {
-    const int p = size();
-    for (int mask = 1; mask < p; mask <<= 1) {
-      const int partner = rank_ ^ mask;
-      coll_send<T>(partner, tag, std::span<const T>{data.data(), data.size()});
-      const PayloadBuffer part = recv_buffer(partner, tag);
-      PEACHY_CHECK(part.size() == data.size() * sizeof(T),
-                   "allreduce: contribution size mismatch");
-      const T* in = reinterpret_cast<const T*>(part.data());
-      if (partner < rank_) {
-        for (std::size_t i = 0; i < data.size(); ++i) data[i] = op(in[i], data[i]);
-      } else {
-        for (std::size_t i = 0; i < data.size(); ++i) data[i] = op(data[i], in[i]);
-      }
-    }
-  }
-
-  /// Flat allreduce: linear reduce to rank 0 (ascending-rank fold), then
-  /// rank 0 posts the result to everyone by refcount bump.
-  template <typename T, typename Op>
-  void allreduce_linear_(std::span<T> data, Op op, int tag) {
-    const int p = size();
-    if (p == 1) return;
-    if (rank_ != 0) {
-      coll_send<T>(0, tag, std::span<const T>{data.data(), data.size()});
-      const PayloadBuffer res = recv_buffer(0, tag);
-      PEACHY_CHECK(res.size() == data.size() * sizeof(T), "allreduce: result size mismatch");
-      if (!res.empty()) std::memcpy(data.data(), res.data(), res.size());
-      return;
-    }
-    for (int r = 1; r < p; ++r) {
-      const PayloadBuffer part = recv_buffer(r, tag);
-      PEACHY_CHECK(part.size() == data.size() * sizeof(T),
-                   "allreduce: contribution size mismatch");
-      const T* in = reinterpret_cast<const T*>(part.data());
-      for (std::size_t i = 0; i < data.size(); ++i) data[i] = op(data[i], in[i]);
-    }
-    PayloadBuffer buf = BufferPool::instance().acquire(data.size() * sizeof(T));
-    if (!data.empty()) std::memcpy(buf.mutable_data(), data.data(), buf.size());
-    for (int r = 1; r < p; ++r) {
-      machine_->post_move(world_rank(), to_world(r), tag, buf.share(), comm_id_);
     }
   }
 
@@ -1268,10 +976,6 @@ struct RunOptions {
   /// the run (empty when no plan was active) — the replay-determinism
   /// artifact that scripts/check.sh diffs across reruns.
   std::string* fault_log = nullptr;
-  /// Tunables snapshot for this run (collective algorithm selection).
-  /// nullptr uses the process-wide tune::active() profile — which is the
-  /// compiled-in defaults unless PEACHY_TUNE named a loadable profile.
-  const tune::Tunables* tunables = nullptr;
   /// Message-movement backend.  kDefault defers to PEACHY_TRANSPORT
   /// (unset → inproc).  Inside a launched world the launcher's wire
   /// always wins — every process of one world must speak the same

@@ -9,7 +9,7 @@
 /// the destination rank's mailbox, delivering through the machine's
 /// `TransportSink::deliver` — on the calling thread for the in-process
 /// backend, on a pump thread for the wire backends.  Everything above
-/// the seam (checker, injector, obs hooks, tuned collectives, the
+/// the seam (checker, injector, obs hooks, collectives, the
 /// recv-side matching loop) is backend-agnostic by construction, which
 /// is the point of the refactor.
 ///

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -16,6 +20,8 @@
 #include <string>
 #include <thread>
 
+#include "faults/faults.hpp"
+#include "faults/plan.hpp"
 #include "mpi/mpi.hpp"
 
 namespace pm = peachy::mpi;
@@ -436,6 +442,226 @@ TEST_P(MpiCollectives, ConsecutiveCollectivesDoNotCrossTalk) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, MpiCollectives, ::testing::Values(1, 2, 3, 4, 5, 8));
+
+// ---- exact and repeatable collective results --------------------------------------
+// Integer reductions must be exact; float reductions must repeat bit for
+// bit, because the binomial tree pins one combine order per (p, root).
+
+TEST(MpiCollectiveResults, IntegerReductionsAreExact) {
+  for (const int p : {2, 3, 4, 5, 8}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                std::size_t{64}, std::size_t{1000}}) {
+      std::vector<std::int64_t> expect_all(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::int64_t s = 0;
+        for (int r = 0; r < p; ++r) s += static_cast<std::int64_t>(r) * 31 + static_cast<std::int64_t>(i);
+        expect_all[i] = s;
+      }
+      const auto fill = [n](const pm::Comm& comm) {
+        std::vector<std::int64_t> data(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          data[i] = static_cast<std::int64_t>(comm.rank()) * 31 + static_cast<std::int64_t>(i);
+        }
+        return data;
+      };
+      pm::run(p, [&](pm::Comm& comm) {
+        std::vector<std::int64_t> data = fill(comm);
+        comm.allreduce_inplace<std::int64_t>(std::span<std::int64_t>{data}, std::plus<>{});
+        ASSERT_EQ(data, expect_all) << "allreduce p=" << p << " n=" << n;
+      });
+      pm::run(p, [&](pm::Comm& comm) {
+        std::vector<std::int64_t> data = fill(comm);
+        comm.reduce_inplace<std::int64_t>(std::span<std::int64_t>{data}, std::plus<>{}, 0);
+        if (comm.rank() == 0) {
+          ASSERT_EQ(data, expect_all) << "reduce p=" << p << " n=" << n;
+        }
+      });
+    }
+  }
+}
+
+TEST(MpiCollectiveResults, BroadcastAndAllgatherMatchReference) {
+  for (const int p : {2, 3, 4, 8}) {
+    pm::run(p, [&](pm::Comm& comm) {
+      std::vector<std::int32_t> data(257);
+      if (comm.rank() == 1) std::iota(data.begin(), data.end(), 42);
+      comm.broadcast_into<std::int32_t>(std::span<std::int32_t>{data}, 1);
+      ASSERT_EQ(data.front(), 42);
+      ASSERT_EQ(data.back(), 42 + 256);
+      std::vector<std::int32_t> var;
+      if (comm.rank() == 1) var.assign(13, comm.size());
+      comm.broadcast<std::int32_t>(var, 1);
+      ASSERT_EQ(var.size(), 13u);
+      ASSERT_EQ(var.front(), comm.size());
+    });
+    pm::run(p, [&](pm::Comm& comm) {
+      const std::size_t block = 33;
+      std::vector<std::int64_t> mine(block);
+      for (std::size_t i = 0; i < block; ++i) {
+        mine[i] = comm.rank() * 1000 + static_cast<std::int64_t>(i);
+      }
+      std::vector<std::int64_t> all(block * static_cast<std::size_t>(comm.size()));
+      comm.allgather_into<std::int64_t>(std::span<const std::int64_t>{mine},
+                                        std::span<std::int64_t>{all});
+      for (int r = 0; r < comm.size(); ++r) {
+        for (std::size_t i = 0; i < block; ++i) {
+          ASSERT_EQ(all[static_cast<std::size_t>(r) * block + i],
+                    r * 1000 + static_cast<std::int64_t>(i))
+              << "allgather_into p=" << p;
+        }
+      }
+      const auto cat = comm.allgather<std::int64_t>(std::span<const std::int64_t>{mine});
+      ASSERT_EQ(cat, all);
+    });
+  }
+}
+
+namespace {
+
+/// One allreduce over magnitude-skewed doubles; returns rank 0's result
+/// after checking that every rank holds the same bytes.
+std::vector<double> float_allreduce_once(int p, const peachy::faults::FaultPlan* plan) {
+  pm::RunOptions opts;
+  opts.plan = plan;
+  std::vector<double> out;
+  std::vector<std::vector<double>> per_rank(static_cast<std::size_t>(p));
+  pm::run(
+      p,
+      [&](pm::Comm& comm) {
+        std::vector<double> data(512);
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          // Exponent-staggered contributions make the combine order
+          // visible in the low mantissa bits.
+          data[i] = std::ldexp(1.0 + 1e-3 * comm.rank() + 1e-6 * static_cast<double>(i),
+                               comm.rank() % 3 - 1);
+        }
+        comm.allreduce_inplace<double>(std::span<double>{data}, std::plus<>{});
+        per_rank[static_cast<std::size_t>(comm.rank())] = data;
+        if (comm.rank() == 0) out = data;
+      },
+      opts);
+  for (const auto& r : per_rank) {
+    EXPECT_EQ(0, std::memcmp(r.data(), out.data(), out.size() * sizeof(double)))
+        << "ranks disagree, p=" << p;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(MpiCollectiveResults, FloatAllreduceRepeatsBitForBit) {
+  for (const int p : {2, 3, 4, 8}) {
+    const std::vector<double> a = float_allreduce_once(p, nullptr);
+    const std::vector<double> b = float_allreduce_once(p, nullptr);
+    ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)))
+        << "repeat divergence, p=" << p;
+  }
+}
+
+TEST(MpiCollectiveResults, FloatAllreduceBitIdenticalUnderFaultInjection) {
+  // Delays and stalls perturb wall-clock interleaving but must not
+  // perturb the combine order.
+  const auto plan = peachy::faults::FaultPlan::parse(
+      "seed=11; delay@rank=1,prob=0.5,ns=200000; stall@rank=0,prob=0.25,ns=100000");
+  const std::vector<double> clean = float_allreduce_once(4, nullptr);
+  const std::vector<double> faulty = float_allreduce_once(4, &plan);
+  ASSERT_EQ(0, std::memcmp(clean.data(), faulty.data(), clean.size() * sizeof(double)));
+}
+
+TEST(MpiCollectiveResults, FloatReduceRepeatsBitForBit) {
+  std::vector<double> first;
+  for (int run = 0; run < 2; ++run) {
+    std::vector<double> got;
+    pm::run(5, [&](pm::Comm& comm) {
+      std::vector<double> data(128);
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = std::ldexp(1.0 + 1e-4 * comm.rank(), static_cast<int>(i % 5) + comm.rank() % 2);
+      }
+      comm.reduce_inplace<double>(std::span<double>{data}, std::plus<>{}, 2);
+      if (comm.rank() == 2) got = data;
+    });
+    if (run == 0) {
+      first = got;
+    } else {
+      ASSERT_EQ(0, std::memcmp(first.data(), got.data(), got.size() * sizeof(double)));
+    }
+  }
+}
+
+// ---- rooted collectives reject an out-of-range root -------------------------------
+
+namespace {
+
+/// Calls every rooted collective on `c` with root -1 and root size().
+/// Each call must throw a peachy::Error naming its op before any message
+/// moves, so no rank blocks; returns the number of such errors.
+int count_named_bad_roots(pm::Comm& c) {
+  int named = 0;
+  const std::vector<int> v{c.rank(), 1};
+  for (const int root : {-1, c.size()}) {
+    const auto expect_named = [&](const std::string& what, const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << what << " accepted root " << root;
+      } catch (const peachy::Error& e) {
+        EXPECT_NE(std::string{e.what()}.find(what), std::string::npos) << e.what();
+        ++named;
+      }
+    };
+    std::vector<int> buf = v;
+    expect_named("reduce: bad root", [&] { (void)c.reduce<int>(v, std::plus<>{}, root); });
+    expect_named("reduce: bad root",
+                 [&] { c.reduce_inplace<int>(std::span<int>{buf}, std::plus<>{}, root); });
+    expect_named("gather: bad root", [&] { (void)c.gather<int>(v, root); });
+    expect_named("scatter: bad root", [&] { (void)c.scatter_blocks<int>(v, root); });
+    expect_named("broadcast: bad root", [&] { c.broadcast(buf, root); });
+  }
+  // Nothing was sent and no collective was begun: the communicator works.
+  EXPECT_EQ(c.allreduce_value(1, std::plus<>{}), c.size());
+  return named;
+}
+
+constexpr int kBadRootCalls = 10;  // 2 roots x 5 rooted calls
+
+}  // namespace
+
+TEST(MpiCollectiveRoots, OutOfRangeRootIsANamedErrorOnTheWorld) {
+  pm::RunOptions opts;
+  opts.op_timeout_ns = 5'000'000'000ULL;  // a regression fails, never hangs
+  std::atomic<int> named{0};
+  pm::run(4, [&](pm::Comm& c) { named += count_named_bad_roots(c); }, opts);
+  EXPECT_EQ(named.load(), 4 * kBadRootCalls);
+}
+
+TEST(MpiCollectiveRoots, OutOfRangeRootIsANamedErrorOnAShrunkenComm) {
+  // Rank 3 crashes; the survivors shrink to a 3-rank communicator whose
+  // local ranks index its group, so a bad root must not reach to_world.
+  peachy::faults::FaultPlan plan;
+  plan.add({.kind = peachy::faults::FaultKind::crash, .rank = 3, .step = 1});
+  pm::RunOptions opts;
+  opts.plan = &plan;
+  opts.op_timeout_ns = 5'000'000'000ULL;
+  std::atomic<int> named{0};
+  std::atomic<int> shrunk{0};
+  pm::run(4, [&](pm::Comm& world) {
+    pm::Comm comm = world;
+    for (;;) {
+      try {
+        for (int round = 0; round < 4; ++round) (void)comm.allreduce_value(1, std::plus<>{});
+        break;
+      } catch (const peachy::faults::CommRevokedError&) {
+      } catch (const peachy::faults::RankFailedError&) {
+        comm.revoke();
+      }
+      comm = comm.shrink();
+    }
+    ASSERT_EQ(comm.size(), 3);
+    shrunk += 1;
+    named += count_named_bad_roots(comm);
+  }, opts);
+  EXPECT_EQ(shrunk.load(), 3);
+  EXPECT_EQ(named.load(), 3 * kBadRootCalls);
+}
 
 // ---- traffic accounting -----------------------------------------------------------
 

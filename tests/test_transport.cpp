@@ -1,7 +1,7 @@
 // Cross-backend conformance for the mini-MPI transport seam: every
-// user-visible behavior — point-to-point semantics, wildcards, every
-// tuned collective algorithm, fault injection + shrink recovery, the
-// recv_into size contract, and op timeouts — must be identical over
+// user-visible behavior — point-to-point semantics, wildcards, the
+// collectives, fault injection + shrink recovery, the recv_into size
+// contract, and op timeouts — must be identical over
 // inproc, shm, and socket (TEST_P over the three kinds).  The wire
 // backends route even same-process messages through full frame
 // serialization, so a single-process test binary exercises the real
@@ -23,11 +23,9 @@
 #include "mpi/mpi.hpp"
 #include "obs/obs.hpp"
 #include "traffic/mpi_traffic.hpp"
-#include "tune/tune.hpp"
 
 namespace pm = peachy::mpi;
 namespace pf = peachy::faults;
-namespace pt = peachy::tune;
 
 namespace {
 
@@ -39,16 +37,6 @@ class Transports : public ::testing::TestWithParam<pm::TransportKind> {
     return o;
   }
 };
-
-/// Tunables forcing `algo` for `op` everywhere (test_tune.cpp's helper).
-pt::Tunables forced(pt::CollOp op, pt::CollAlgo algo) {
-  pt::Tunables t;
-  pt::CollRule rule;
-  rule.op = op;
-  rule.algo = algo;
-  t.coll_rules.push_back(rule);
-  return t;
-}
 
 }  // namespace
 
@@ -172,41 +160,6 @@ TEST_P(Transports, CollectivesMatchSerialAtEveryRankCount) {
     for (int r = 0; r < p; ++r) {
       EXPECT_EQ(allreduce_out[static_cast<std::size_t>(r)], expect) << "p=" << p;
       EXPECT_EQ(allgather_out[static_cast<std::size_t>(r)], cat) << "p=" << p;
-    }
-  }
-}
-
-TEST_P(Transports, EveryTunedAlgorithmAgreesOnEveryBackend) {
-  // Each forced collective algorithm must produce the same bytes over
-  // every transport — the seam moves messages, never reorders math.
-  constexpr pt::CollAlgo kAlgos[] = {pt::CollAlgo::kAuto, pt::CollAlgo::kLinear,
-                                     pt::CollAlgo::kBinomial, pt::CollAlgo::kRing,
-                                     pt::CollAlgo::kRecDouble};
-  constexpr pt::CollOp kOps[] = {pt::CollOp::kBroadcast, pt::CollOp::kReduce,
-                                 pt::CollOp::kAllreduce, pt::CollOp::kAllgather};
-  for (const pt::CollOp op : kOps) {
-    for (const pt::CollAlgo algo : kAlgos) {
-      const pt::Tunables t = forced(op, algo);
-      pm::RunOptions o = opts();
-      o.tunables = &t;
-      const int p = 4;  // power of two: every algorithm (incl. recdouble) is eligible
-      std::vector<double> sums(p, 0.0);
-      std::vector<std::vector<float>> gathered(p);
-      pm::run(p, [&](pm::Comm& c) {
-        std::vector<double> data{1.25 * c.rank(), -2.5, 3.75};
-        c.broadcast(data, 0);
-        EXPECT_EQ(data, (std::vector<double>{0.0, -2.5, 3.75}));
-        sums[static_cast<std::size_t>(c.rank())] =
-            c.allreduce_value<double>(0.5 * c.rank(), std::plus<>{});
-        const std::vector<float> mine{static_cast<float>(c.rank())};
-        gathered[static_cast<std::size_t>(c.rank())] = c.allgather<float>(mine);
-      }, o);
-      for (int r = 0; r < p; ++r) {
-        EXPECT_EQ(sums[static_cast<std::size_t>(r)], 3.0)
-            << "op=" << static_cast<int>(op) << " algo=" << static_cast<int>(algo);
-        EXPECT_EQ(gathered[static_cast<std::size_t>(r)],
-                  (std::vector<float>{0.f, 1.f, 2.f, 3.f}));
-      }
     }
   }
 }
