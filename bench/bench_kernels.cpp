@@ -94,8 +94,9 @@ ps::aligned_vector<double> random_buffer(std::size_t n, std::uint64_t seed) {
 void run_all(bool tiny) {
   const int reps = tiny ? 1 : 11;
 
-  // Batched point-to-centroid distances (the k-means/kNN hot path) at
-  // the assignment-typical and acceptance-criterion dimensions.
+  // The fused k-means assignment step (argmin + sums/counts), the
+  // k-means/kNN hot path, at the assignment-typical and
+  // acceptance-criterion dimensions.
   for (const std::size_t d : {2ul, 8ul, 32ul}) {
     const std::size_t n = tiny ? 64 : 20000;
     const std::size_t k = tiny ? 5 : 64;
@@ -114,23 +115,8 @@ void run_all(bool tiny) {
       }
     }
     const auto panel = cents.transposed_panel();
-    ps::aligned_vector<double> out(n * k);
     const std::string shape =
         "n=" + std::to_string(n) + " k=" + std::to_string(k) + " d=" + std::to_string(d);
-    bench(
-        "batch_distances_d" + std::to_string(d), shape, n * k, reps, 1,
-        [&] {
-          pk::ref::squared_distances_tile(pts.values().data(), n, d, panel.data(), k,
-                                          panel.padded, out.data());
-          g_sink += out[n * k - 1];
-        },
-        [&] {
-          pk::squared_distances_tile(pts.values().data(), n, d, panel.data(), k, panel.padded,
-                                     out.data());
-          g_sink += out[n * k - 1];
-        });
-
-    // Fused assignment step over the same data (sums/counts + argmin).
     std::vector<std::int32_t> assign(n, -1);
     ps::aligned_vector<double> sums(k * d);
     std::vector<std::int64_t> counts(k);

@@ -1,14 +1,12 @@
 /// \file bench_substrates.cpp
-/// \brief Transport-substrate regression harness: times the pooled
-/// zero-copy mini-MPI collectives and the MapReduce-style shuffle
-/// exchange against bench-local *legacy twins* — faithful
-/// re-implementations of the pre-pool transport algorithms (per-message
-/// allocation, copying sends, double-copy typed receives,
-/// vector-of-vectors assembly) run with slab reuse disabled.  Results
-/// are emitted as machine-readable JSON (schema "peachy-bench/1", same
-/// shape as BENCH_kernels.json) so each PR has a perf trajectory to
-/// compare against; `scalar_ns` is the legacy twin, `kernel_ns` the
-/// shipped path.
+/// \brief Transport-substrate regression harness: times the shipped
+/// pooled zero-copy mini-MPI collectives (allreduce, allgather, alltoall)
+/// and the MapReduce-style shuffle exchange, and emits the results as
+/// machine-readable JSON (schema "peachy-bench/1", same shape as
+/// BENCH_kernels.json) so each PR has a perf trajectory to compare
+/// against.  Each row times only the shipped path: `kernel_ns` is that
+/// time, and, as in bench_transport's reference rows, `scalar_ns` repeats
+/// it and `speedup` is 1.  scripts/bench_compare.py gates on `kernel_ns`.
 ///
 /// Usage:
 ///   bench_substrates [--tiny] [--out FILE] [--transport=inproc|shm|socket]
@@ -19,10 +17,8 @@
 ///
 /// Method: best-of-R wall time per benchmark; each timed run executes
 /// many collective rounds inside one mpi::run so buffer traffic, not
-/// thread spawn, dominates.  Identical payload sizes and round counts
-/// for both twins, results accumulated into a printed sink.
+/// thread spawn, dominates.  Results are accumulated into a printed sink.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +30,6 @@
 
 #include "kernels/kernels.hpp"
 #include "mapreduce/mapreduce.hpp"
-#include "mpi/buffer_pool.hpp"
 #include "mpi/mpi.hpp"
 #include "support/timer.hpp"
 
@@ -64,142 +59,18 @@ struct Row {
   std::string name;
   std::string shape;
   std::uint64_t items;  // elements exchanged per run (for context)
-  double scalar_ns;     // legacy twin (pre-pool transport algorithms)
-  double kernel_ns;     // shipped pooled / zero-copy path
-  double speedup;
+  double ns;            // best-of-R wall time of one full run (all rounds)
 };
 
 std::vector<Row> g_rows;
 
-/// Restore-on-exit guard that disables slab reuse, putting the transport
-/// back on the pre-pool allocate-per-message regime for the legacy twin.
-struct PoolingOff {
-  bool was;
-  PoolingOff() : was(pm::BufferPool::instance().pooling()) {
-    pm::BufferPool::instance().set_pooling(false);
-  }
-  ~PoolingOff() { pm::BufferPool::instance().set_pooling(was); }
-  PoolingOff(const PoolingOff&) = delete;
-  PoolingOff& operator=(const PoolingOff&) = delete;
-};
-
-/// Time legacy twin vs shipped path and record a row.  Reported
-/// nanoseconds are per full run (all rounds).
-template <typename LegacyFn, typename NewFn>
+/// Time the shipped path and record a row.
+template <typename Fn>
 void bench(const std::string& name, const std::string& shape, std::uint64_t items, int reps,
-           LegacyFn&& legacy, NewFn&& fresh) {
-  const double s = ps::time_best_of(reps, [&] {
-                     const PoolingOff off;
-                     legacy();
-                   }) *
-                   1e9;
-  const double v = ps::time_best_of(reps, [&] { fresh(); }) * 1e9;
-  g_rows.push_back({name, shape, items, s, v, s / v});
-  std::printf("%-18s %-34s legacy %12.0f ns   pooled %12.0f ns   speedup %5.2fx\n",
-              name.c_str(), shape.c_str(), s, v, s / v);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy twins.  These reproduce the pre-pool transport algorithms out of
-// public point-to-point primitives: sends copy out of caller storage, a
-// typed receive lands in a fresh byte vector and is then memcpy'd into a
-// fresh typed vector (the old double copy), and every collective
-// materializes intermediate vectors instead of forwarding pooled blocks.
-
-constexpr int kTag = 7;
-
-template <typename T>
-std::vector<T> legacy_recv(pm::Comm& comm, int source) {
-  const std::vector<std::byte> bytes = comm.recv_bytes(source, kTag);
-  std::vector<T> out(bytes.size() / sizeof(T));
-  if (!out.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-  return out;
-}
-
-template <typename T>
-void legacy_send(pm::Comm& comm, int dest, const std::vector<T>& data) {
-  comm.send<T>(dest, kTag, std::span<const T>{data});
-}
-
-/// Binomial broadcast from rank 0, allocating a fresh vector per hop.
-template <typename T>
-void legacy_broadcast0(pm::Comm& comm, std::vector<T>& data) {
-  const int p = comm.size();
-  const int me = comm.rank();
-  int high = 0;
-  if (me != 0) {
-    high = 1;
-    while (high * 2 <= me) high *= 2;
-    data = legacy_recv<T>(comm, me - high);
-  }
-  for (int d = (high == 0 ? 1 : high * 2); me + d < p; d *= 2) {
-    legacy_send<T>(comm, me + d, data);
-  }
-}
-
-/// Binomial reduce-to-0 + broadcast, every step through fresh vectors.
-template <typename T, typename Op>
-std::vector<T> legacy_allreduce(pm::Comm& comm, const std::vector<T>& local, Op op) {
-  const int p = comm.size();
-  const int me = comm.rank();
-  std::vector<T> acc = local;
-  for (int dist = 1; dist < p; dist *= 2) {
-    if (me % (2 * dist) == 0) {
-      if (me + dist < p) {
-        const std::vector<T> part = legacy_recv<T>(comm, me + dist);
-        for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = op(acc[i], part[i]);
-      }
-    } else {
-      legacy_send<T>(comm, me - dist, acc);
-      break;
-    }
-  }
-  legacy_broadcast0<T>(comm, acc);
-  return acc;
-}
-
-/// Ring allgather that stores every block as its own vector, re-sending
-/// (re-copying) the forwarded block each step, then concatenates.
-template <typename T>
-std::vector<T> legacy_allgather(pm::Comm& comm, const std::vector<T>& local) {
-  const int p = comm.size();
-  const int me = comm.rank();
-  std::vector<std::vector<T>> blocks(static_cast<std::size_t>(p));
-  blocks[static_cast<std::size_t>(me)] = local;
-  const int right = (me + 1) % p;
-  const int left = (me + p - 1) % p;
-  for (int s = 0; s + 1 < p; ++s) {
-    const auto send_b = static_cast<std::size_t>(((me - s) % p + p) % p);
-    const auto recv_b = static_cast<std::size_t>(((me - s - 1) % p + p) % p);
-    legacy_send<T>(comm, right, blocks[send_b]);
-    blocks[recv_b] = legacy_recv<T>(comm, left);
-  }
-  std::size_t total = 0;
-  for (const auto& b : blocks) total += b.size();
-  std::vector<T> all;
-  all.reserve(total);
-  for (const auto& b : blocks) all.insert(all.end(), b.begin(), b.end());
-  return all;
-}
-
-/// Personalized exchange that copies the self bucket and sends copies of
-/// every outgoing bucket.
-template <typename T>
-std::vector<std::vector<T>> legacy_alltoall(pm::Comm& comm,
-                                            const std::vector<std::vector<T>>& sendbufs) {
-  const int p = comm.size();
-  const int me = comm.rank();
-  std::vector<std::vector<T>> recvbufs(static_cast<std::size_t>(p));
-  recvbufs[static_cast<std::size_t>(me)] = sendbufs[static_cast<std::size_t>(me)];
-  for (int off = 1; off < p; ++off) {
-    const int dest = (me + off) % p;
-    legacy_send<T>(comm, dest, sendbufs[static_cast<std::size_t>(dest)]);
-  }
-  for (int off = 1; off < p; ++off) {
-    const int src = (me + p - off) % p;
-    recvbufs[static_cast<std::size_t>(src)] = legacy_recv<T>(comm, src);
-  }
-  return recvbufs;
+           Fn&& fn) {
+  const double ns = ps::time_best_of(reps, fn) * 1e9;
+  g_rows.push_back({name, shape, items, ns});
+  std::printf("%-18s %-34s %12.0f ns\n", name.c_str(), shape.c_str(), ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,16 +82,6 @@ void bench_allreduce(int ranks, std::size_t n, int rounds, int reps) {
   const auto items = static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(rounds);
   bench(
       "allreduce_p" + std::to_string(ranks), shape, items, reps,
-      [&] {
-        run_world(ranks, [n, rounds](pm::Comm& comm) {
-          std::vector<double> data(n, 1.0 + 1e-9 * comm.rank());
-          for (int r = 0; r < rounds; ++r) {
-            data = legacy_allreduce<double>(comm, data, std::plus<>{});
-            for (double& x : data) x = x * 1e-3 + 1.0;  // keep magnitudes O(1)
-          }
-          if (comm.rank() == 0) g_sink += data[0];
-        });
-      },
       [&] {
         run_world(ranks, [n, rounds](pm::Comm& comm) {
           std::vector<double> data(n, 1.0 + 1e-9 * comm.rank());
@@ -243,15 +104,6 @@ void bench_allgather(int ranks, std::size_t block, int rounds, int reps) {
       [&] {
         run_world(ranks, [block, rounds](pm::Comm& comm) {
           const std::vector<std::int64_t> local(block, comm.rank());
-          for (int r = 0; r < rounds; ++r) {
-            const auto all = legacy_allgather<std::int64_t>(comm, local);
-            g_sink += static_cast<double>(all.back());
-          }
-        });
-      },
-      [&] {
-        run_world(ranks, [block, rounds](pm::Comm& comm) {
-          const std::vector<std::int64_t> local(block, comm.rank());
           std::vector<std::int64_t> all(block * static_cast<std::size_t>(comm.size()));
           for (int r = 0; r < rounds; ++r) {
             comm.allgather_into<std::int64_t>(local, std::span<std::int64_t>{all});
@@ -266,9 +118,8 @@ void bench_alltoall(int ranks, std::size_t bucket, int rounds, int reps) {
                             " i64 rounds=" + std::to_string(rounds);
   const auto items =
       static_cast<std::uint64_t>(bucket) * static_cast<std::uint64_t>(ranks) * rounds;
-  // Both twins rebuild the send buckets every round — the shuffle usage
-  // pattern, and required anyway on the new path because the rvalue
-  // overload consumes them.
+  // The send buckets are rebuilt every round — the shuffle usage pattern,
+  // and required anyway because the rvalue overload consumes them.
   const auto fill = [bucket](pm::Comm& comm) {
     std::vector<std::vector<std::int64_t>> sendbufs(static_cast<std::size_t>(comm.size()));
     for (auto& b : sendbufs) b.assign(bucket, comm.rank());
@@ -276,15 +127,6 @@ void bench_alltoall(int ranks, std::size_t bucket, int rounds, int reps) {
   };
   bench(
       "alltoall_p" + std::to_string(ranks), shape, items, reps,
-      [&] {
-        run_world(ranks, [rounds, fill](pm::Comm& comm) {
-          for (int r = 0; r < rounds; ++r) {
-            auto sendbufs = fill(comm);
-            const auto recvbufs = legacy_alltoall<std::int64_t>(comm, sendbufs);
-            g_sink += static_cast<double>(recvbufs.back().back());
-          }
-        });
-      },
       [&] {
         run_world(ranks, [rounds, fill](pm::Comm& comm) {
           for (int r = 0; r < rounds; ++r) {
@@ -298,9 +140,8 @@ void bench_alltoall(int ranks, std::size_t bucket, int rounds, int reps) {
 
 /// The MapReduce shuffle exchange in isolation: partition key/value
 /// records by destination, serialize per destination, alltoall the byte
-/// buffers, deserialize.  The legacy twin copies the serialized buffers
-/// into the transport and double-copies them out; the shipped path moves
-/// them end to end (serialized exactly once).
+/// buffers, deserialize.  The buffers move end to end (serialized
+/// exactly once).
 void bench_shuffle(int ranks, std::size_t pairs, std::size_t value_bytes, int rounds, int reps) {
   const std::string shape = "p=" + std::to_string(ranks) + " pairs=" + std::to_string(pairs) +
                             " val=" + std::to_string(value_bytes) +
@@ -334,16 +175,6 @@ void bench_shuffle(int ranks, std::size_t pairs, std::size_t value_bytes, int ro
 
   bench(
       "mr_shuffle_p" + std::to_string(ranks), shape, items, reps,
-      [&] {
-        run_world(ranks, [&](pm::Comm& comm) {
-          const auto kvs = make_pairs(comm.rank());
-          for (int r = 0; r < rounds; ++r) {
-            auto sendbufs = serialize_buckets(kvs, comm.size());
-            const auto recvbufs = legacy_alltoall<std::byte>(comm, sendbufs);
-            g_sink += static_cast<double>(consume(recvbufs));
-          }
-        });
-      },
       [&] {
         run_world(ranks, [&](pm::Comm& comm) {
           const auto kvs = make_pairs(comm.rank());
@@ -387,10 +218,9 @@ void write_json(const std::string& path, bool tiny) {
     const Row& r = g_rows[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"shape\": \"%s\", \"items\": %llu, "
-                 "\"scalar_ns\": %.1f, \"kernel_ns\": %.1f, \"speedup\": %.3f}%s\n",
+                 "\"scalar_ns\": %.1f, \"kernel_ns\": %.1f, \"speedup\": 1.000}%s\n",
                  r.name.c_str(), r.shape.c_str(), static_cast<unsigned long long>(r.items),
-                 r.scalar_ns, r.kernel_ns, r.speedup,
-                 i + 1 < g_rows.size() ? "," : "");
+                 r.ns, r.ns, i + 1 < g_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -421,8 +251,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  std::printf("bench_substrates: legacy transport twins vs pooled zero-copy path%s"
-              " (transport=%s)\n",
+  std::printf("bench_substrates: pooled zero-copy collectives%s (transport=%s)\n",
               tiny ? " (tiny smoke sizes)" : "", pm::transport_name(g_transport));
   run_all(tiny);
   write_json(out, tiny);

@@ -18,11 +18,11 @@
 #                 at tiny sizes and validates the emitted JSON against the
 #                 "peachy-bench/1" schema (wiring check, not a perf gate)
 #   bench-substrates-smoke
-#               — same for bench_substrates (legacy-twin vs pooled
-#                 transport), then a full-size run gated against the
-#                 committed BENCH_substrates.json via bench_compare.py
-#                 at a 15% geomean band — the pooled-transport perf
-#                 contract
+#               — same for bench_substrates (the shipped pooled
+#                 collectives and the MapReduce shuffle), then a
+#                 full-size run gated against the committed
+#                 BENCH_substrates.json via bench_compare.py at a 15%
+#                 geomean band — the pooled-transport perf contract
 #   obs-smoke   — Release build of examples + bench; runs kmeans_cluster
 #                 under PEACHY_TRACE and validates the "peachy-trace/1"
 #                 document (>=4 substrate categories, well-formed per-thread
@@ -95,6 +95,59 @@ run_config() {
   echo "==== [$name] OK ===="
 }
 
+# The "peachy-bench/1" checks every bench JSON must pass: schema and
+# harness name, a non-empty row list, the six row keys, positive timings.
+# An optional third argument is python run afterwards with `doc` and the
+# set of row `names` in scope, for the harness's own checks.
+validate_bench_json() {
+  python3 - "$@" <<'EOF'
+import json, sys
+path, harness = sys.argv[1], sys.argv[2]
+with open(path) as f:
+    doc = json.load(f)
+assert doc["schema"] == "peachy-bench/1", doc.get("schema")
+assert doc["harness"] == harness, doc.get("harness")
+assert isinstance(doc["isa"], str) and doc["isa"]
+assert isinstance(doc["benchmarks"], list) and doc["benchmarks"]
+for row in doc["benchmarks"]:
+    for key in ("name", "shape", "items", "scalar_ns", "kernel_ns", "speedup"):
+        assert key in row, (row, key)
+    assert row["scalar_ns"] > 0 and row["kernel_ns"] > 0
+names = {row["name"] for row in doc["benchmarks"]}
+exec(sys.argv[3] if len(sys.argv) > 3 else "")
+print(f"schema OK: {path}: {len(doc['benchmarks'])} benchmarks, isa={doc['isa']}")
+EOF
+}
+
+# Disabled-mode overhead gate: bench_kernels, per-row min of five passes,
+# at <2% geomean against the committed baseline.  $2 names the output.
+gate_bench_kernels() {
+  local dir="$1" fresh="$1/bench/BENCH_kernels_$2.json"
+  "$dir/bench/bench_kernels" --repeat 5 --out "$fresh"
+  python3 "$ROOT/scripts/bench_compare.py" \
+    "$ROOT/BENCH_kernels.json" "$fresh" --tolerance 0.02
+}
+
+# bench_transport at <2% geomean against the committed baseline.  The
+# gate compares floor estimates, and on a busy 1-core host the floor of
+# a SINGLE sweep drifts ±10-20% per row on minutes timescales (measured:
+# no inproc row stays within ±2% across five back-to-back best-of-9
+# sweeps, but the per-row min of any three consecutive sweeps does).
+# So: three sweeps, per-row min-merge, then the 2% geomean — the
+# bench_kernels --repeat min-merge trick, applied across whole runs
+# because the drift here outlives any one run.  A real regression
+# shifts every sweep's floor and still trips the gate.  $2 names the
+# outputs; further arguments (e.g. --filter) go to bench_compare.py.
+gate_bench_transport() {
+  local dir="$1" name="$2"
+  shift 2
+  for i in 1 2 3; do
+    "$dir/bench/bench_transport" --out "$dir/bench/$name.$i.json" --repeat 9
+  done
+  python3 "$ROOT/scripts/bench_compare.py" "$ROOT/BENCH_transport.json" \
+    "$dir/bench/$name".[123].json "$@" --tolerance 0.02
+}
+
 run_bench_smoke() {
   local dir="$ROOT/build-check-bench-smoke"
   echo "==== [bench-smoke] configure ===="
@@ -107,20 +160,7 @@ run_bench_smoke() {
   local json="$dir/bench/BENCH_kernels_smoke.json"
   "$dir/bench/bench_kernels" --tiny --out "$json"
   echo "==== [bench-smoke] validate JSON ===="
-  python3 - "$json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["schema"] == "peachy-bench/1", doc.get("schema")
-assert doc["harness"] == "bench_kernels"
-assert isinstance(doc["isa"], str) and doc["isa"]
-assert isinstance(doc["benchmarks"], list) and doc["benchmarks"]
-for row in doc["benchmarks"]:
-    for key in ("name", "shape", "items", "scalar_ns", "kernel_ns", "speedup"):
-        assert key in row, (row, key)
-    assert row["scalar_ns"] > 0 and row["kernel_ns"] > 0
-print(f"schema OK: {len(doc['benchmarks'])} benchmarks, isa={doc['isa']}")
-EOF
+  validate_bench_json "$json" bench_kernels
   echo "==== [bench-smoke] OK ===="
 }
 
@@ -136,25 +176,11 @@ run_bench_substrates_smoke() {
   local json="$dir/bench/BENCH_substrates_smoke.json"
   "$dir/bench/bench_substrates" --tiny --out "$json"
   echo "==== [bench-substrates-smoke] validate JSON ===="
-  python3 - "$json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["schema"] == "peachy-bench/1", doc.get("schema")
-assert doc["harness"] == "bench_substrates"
-assert isinstance(doc["isa"], str) and doc["isa"]
-assert isinstance(doc["benchmarks"], list) and doc["benchmarks"]
-names = {row["name"] for row in doc["benchmarks"]}
+  validate_bench_json "$json" bench_substrates '
 for want in ("allreduce", "allgather", "alltoall"):
     for p in (2, 4, 8):
         assert f"{want}_p{p}" in names, (want, p, names)
-assert any(n.startswith("mr_shuffle") for n in names), names
-for row in doc["benchmarks"]:
-    for key in ("name", "shape", "items", "scalar_ns", "kernel_ns", "speedup"):
-        assert key in row, (row, key)
-    assert row["scalar_ns"] > 0 and row["kernel_ns"] > 0
-print(f"schema OK: {len(doc['benchmarks'])} benchmarks")
-EOF
+assert any(n.startswith("mr_shuffle") for n in names), names'
   echo "==== [bench-substrates-smoke] full-size perf gate ===="
   local fresh="$dir/bench/BENCH_substrates_fresh.json"
   "$dir/bench/bench_substrates" --out "$fresh"
@@ -208,10 +234,7 @@ print(f"trace OK: {len(events)} events, substrates={sorted(cats)}, "
       f"{len(doc['counters'])} counters")
 EOF
   echo "==== [obs-smoke] disabled-mode overhead gate ===="
-  local fresh="$dir/bench/BENCH_kernels_obs.json"
-  "$dir/bench/bench_kernels" --repeat 5 --out "$fresh"
-  python3 "$ROOT/scripts/bench_compare.py" \
-    "$ROOT/BENCH_kernels.json" "$fresh" --tolerance 0.02
+  gate_bench_kernels "$dir" obs
   echo "==== [obs-smoke] OK ===="
 }
 
@@ -239,10 +262,7 @@ run_faults_smoke() {
   echo "==== [faults-smoke] recovery end-to-end (kmeans) ===="
   "$dir/examples/fault_demo" --mode=kmeans
   echo "==== [faults-smoke] disabled-mode overhead gate ===="
-  local fresh="$dir/bench/BENCH_kernels_faults.json"
-  "$dir/bench/bench_kernels" --repeat 5 --out "$fresh"
-  python3 "$ROOT/scripts/bench_compare.py" \
-    "$ROOT/BENCH_kernels.json" "$fresh" --tolerance 0.02
+  gate_bench_kernels "$dir" faults
   echo "==== [faults-smoke] OK ===="
 }
 
@@ -306,28 +326,15 @@ run_transport_smoke() {
 run_transport_bench_smoke() {
   local dir="$ROOT/build-check-bench-smoke"
   echo "==== [transport-bench-smoke] validate committed baseline schema ===="
-  python3 - "$ROOT/BENCH_transport.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["schema"] == "peachy-bench/1", doc.get("schema")
-assert doc["harness"] == "bench_transport"
+  validate_bench_json "$ROOT/BENCH_transport.json" bench_transport '
 assert doc["tiny"] is False, "committed baseline must be a full-size run"
-assert isinstance(doc["benchmarks"], list) and doc["benchmarks"]
-names = {row["name"] for row in doc["benchmarks"]}
 for backend in ("inproc", "shm", "socket"):
     assert f"pp_{backend}_8" in names, (backend, names)
     assert f"bw_{backend}_8" in names, (backend, names)
     assert f"coll_allreduce_{backend}_256" in names, (backend, names)
 for row in doc["benchmarks"]:
-    for key in ("name", "shape", "items", "scalar_ns", "kernel_ns", "speedup"):
-        assert key in row, (row, key)
-    assert row["scalar_ns"] > 0 and row["kernel_ns"] > 0
     if row["name"].startswith("bw_"):
-        assert row.get("mb_s", 0) > 0, row
-print(f"baseline schema OK: {len(doc['benchmarks'])} benchmarks, "
-      f"all three backends present")
-EOF
+        assert row.get("mb_s", 0) > 0, row'
   echo "==== [transport-bench-smoke] configure ===="
   cmake -B "$dir" -S "$ROOT" \
     -DCMAKE_BUILD_TYPE=Release \
@@ -349,23 +356,11 @@ assert backends == {"inproc", "shm", "socket"}, backends
 print(f"tiny sweep OK: {len(doc['benchmarks'])} benchmarks over {sorted(backends)}")
 EOF
   echo "==== [transport-bench-smoke] inproc regression gate ===="
-  # Full-size runs, gated on the inproc rows only: the wire fast paths
-  # ride the same seam the in-process backend does, and must cost it
-  # nothing.  (The shm/socket rows are tracked in EXPERIMENTS.md T-TRN-1,
-  # not gated — wire timings on shared CI hosts are too noisy for 2%.)
-  # The gate compares floor estimates, and on a busy 1-core host the
-  # floor of a SINGLE sweep drifts ±10-20% per row on minutes timescales
-  # (measured: no inproc row stays within ±2% across five back-to-back
-  # best-of-9 sweeps, but the per-row min of any three consecutive
-  # sweeps does).  So: three sweeps, per-row min-merge, then the 2%
-  # geomean — the bench_kernels --repeat min-merge trick, applied across
-  # whole runs because the drift here outlives any one run.  A real
-  # regression shifts every sweep's floor and still trips the gate.
-  for i in 1 2 3; do
-    "$dir/bench/bench_transport" --out "$dir/bench/BENCH_transport_fresh.$i.json" --repeat 9
-  done
-  python3 "$ROOT/scripts/bench_compare.py" "$ROOT/BENCH_transport.json" \
-    "$dir"/bench/BENCH_transport_fresh.[123].json --filter '_inproc' --tolerance 0.02
+  # Gated on the inproc rows only: the wire fast paths ride the same seam
+  # the in-process backend does, and must cost it nothing.  (The
+  # shm/socket rows are tracked in EXPERIMENTS.md T-TRN-1, not gated —
+  # wire timings on shared CI hosts are too noisy for 2%.)
+  gate_bench_transport "$dir" BENCH_transport_fresh --filter '_inproc'
   echo "==== [transport-bench-smoke] OK ===="
 }
 
@@ -433,13 +428,7 @@ run_chaos_smoke() {
     -DCMAKE_BUILD_TYPE=Release \
     -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
   cmake --build "$bdir" --target bench_transport -j "$JOBS"
-  # Same three-sweep per-row min-merge as transport-bench-smoke: single
-  # sweeps drift 10-20% per row on a busy host; the min of three does not.
-  for i in 1 2 3; do
-    "$bdir/bench/bench_transport" --out "$bdir/bench/BENCH_transport_chaos.$i.json" --repeat 9
-  done
-  python3 "$ROOT/scripts/bench_compare.py" "$ROOT/BENCH_transport.json" \
-    "$bdir"/bench/BENCH_transport_chaos.[123].json --tolerance 0.02
+  gate_bench_transport "$bdir" BENCH_transport_chaos
   echo "==== [chaos-smoke] OK ===="
 }
 

@@ -27,7 +27,7 @@ namespace peachy::data {
 /// `values[(g*dims + j)*lane_width + lane]` is coordinate j of centroid
 /// `g*lane_width + lane`.  Padded tail lanes hold +infinity so they can
 /// never win an argmin.  Built by PointSet::transposed_panel(); consumed
-/// by kernels::squared_distances_batch / argmin_batch / argmin_assign.
+/// by kernels::argmin_batch / argmin_assign.
 struct TransposedPanel {
   std::size_t count = 0;   ///< real centroids
   std::size_t dims = 0;    ///< coordinates per centroid

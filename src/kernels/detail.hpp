@@ -22,10 +22,6 @@ double dot(const double* a, const double* b, std::size_t n);
 void squared_distances_rows(const double* pts, std::size_t n, std::size_t d, const double* q,
                             double* out);
 void axpy(double* y, const double* x, double a, std::size_t n);
-void squared_distances_batch(const double* q, std::size_t d, const double* panel,
-                             std::size_t k, std::size_t kp, double* out);
-void squared_distances_tile(const double* pts, std::size_t n, std::size_t d,
-                            const double* panel, std::size_t k, std::size_t kp, double* out);
 std::size_t argmin_batch(const double* q, std::size_t d, const double* panel, std::size_t k,
                          std::size_t kp, double* best_d2);
 std::size_t argmin_assign(const double* pts, std::size_t n, std::size_t d, const double* panel,

@@ -130,30 +130,6 @@ void axpy(double* y, const double* x, double a, std::size_t n) {
   ref::axpy(y, x, a, n);
 }
 
-void squared_distances_batch(const double* q, std::size_t d, const double* panel,
-                             std::size_t k, std::size_t kp, double* out) {
-  PEACHY_KERN_COUNT("squared_distances_batch");
-#if PEACHY_HAVE_AVX2
-  if (current_isa() == Isa::kAvx2) {
-    detail::avx2::squared_distances_batch(q, d, panel, k, kp, out);
-    return;
-  }
-#endif
-  ref::squared_distances_batch(q, d, panel, k, kp, out);
-}
-
-void squared_distances_tile(const double* pts, std::size_t n, std::size_t d,
-                            const double* panel, std::size_t k, std::size_t kp, double* out) {
-  PEACHY_KERN_COUNT("squared_distances_tile");
-#if PEACHY_HAVE_AVX2
-  if (current_isa() == Isa::kAvx2) {
-    detail::avx2::squared_distances_tile(pts, n, d, panel, k, kp, out);
-    return;
-  }
-#endif
-  ref::squared_distances_tile(pts, n, d, panel, k, kp, out);
-}
-
 std::size_t argmin_batch(const double* q, std::size_t d, const double* panel, std::size_t k,
                          std::size_t kp, double* best_d2) {
   PEACHY_KERN_COUNT("argmin_batch");

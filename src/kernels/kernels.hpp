@@ -25,7 +25,7 @@
 /// tests — sequential vs. threaded vs. mini-MPI vs. SIMT — depend on
 /// this: all implementations share these kernels, so they agree exactly.
 ///
-/// **Panel layout.**  The batched distance kernels read centroids from a
+/// **Panel layout.**  The argmin kernels read centroids from a
 /// SoA-transposed *panel* (see data::TransposedPanel): centroids are
 /// grouped in blocks of kPanelLane, each group storing its coordinates
 /// dimension-major —
@@ -108,17 +108,6 @@ void axpy(double* y, const double* x, double a, std::size_t n);
 
 // ---- panel (SoA-transposed) kernels -----------------------------------------------
 
-/// out[c] = squared distance from the d-vector q to centroid c of the
-/// panel (layout in the file comment).  Per centroid, dimensions
-/// accumulate in ascending order — matching a plain scalar loop exactly.
-void squared_distances_batch(const double* q, std::size_t d, const double* panel,
-                             std::size_t k, std::size_t kp, double* out);
-
-/// Tiled n×k block form: out[i*k + c] = squared distance from row i of
-/// the row-major n×d matrix pts to centroid c.
-void squared_distances_tile(const double* pts, std::size_t n, std::size_t d,
-                            const double* panel, std::size_t k, std::size_t kp, double* out);
-
 /// Index of the nearest panel centroid to q (argmin semantics in the file
 /// comment).  If best_d2 is non-null it receives the winning distance.
 [[nodiscard]] std::size_t argmin_batch(const double* q, std::size_t d, const double* panel,
@@ -162,10 +151,6 @@ namespace ref {
 void squared_distances_rows(const double* pts, std::size_t n, std::size_t d, const double* q,
                             double* out);
 void axpy(double* y, const double* x, double a, std::size_t n);
-void squared_distances_batch(const double* q, std::size_t d, const double* panel,
-                             std::size_t k, std::size_t kp, double* out);
-void squared_distances_tile(const double* pts, std::size_t n, std::size_t d,
-                            const double* panel, std::size_t k, std::size_t kp, double* out);
 [[nodiscard]] std::size_t argmin_batch(const double* q, std::size_t d, const double* panel,
                                        std::size_t k, std::size_t kp,
                                        double* best_d2 = nullptr);

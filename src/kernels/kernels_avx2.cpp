@@ -94,9 +94,8 @@ namespace {
 
 /// Distances from q to the 4 centroids of panel group g, as one register.
 /// Per lane this is the reference's single running sum over ascending j.
-/// always_inline: with three call sites (batch, blocked tile, argmin) the
-/// inliner otherwise outlines this into a real call inside every hot
-/// distance loop — a measured ~20% hit on the d8/d32 distance kernels.
+/// always_inline: left to itself the inliner may outline this into a real
+/// call inside the hot distance loop, measured ~20% slower at d8/d32.
 [[gnu::always_inline]] inline __m256d group_distances(const double* q, std::size_t d,
                                                       const double* grp) {
   __m256d acc = _mm256_setzero_pd();
@@ -109,27 +108,6 @@ namespace {
 }
 
 }  // namespace
-
-void squared_distances_batch(const double* q, std::size_t d, const double* panel,
-                             std::size_t k, std::size_t kp, double* out) {
-  for (std::size_t g = 0; g * kPanelLane < kp; ++g) {
-    const __m256d dist = group_distances(q, d, panel + g * d * kPanelLane);
-    const std::size_t c0 = g * kPanelLane;
-    if (c0 + kPanelLane <= k) {
-      _mm256_storeu_pd(out + c0, dist);
-    } else {
-      const Lanes s{dist};
-      for (std::size_t lane = 0; c0 + lane < k; ++lane) out[c0 + lane] = s.v[lane];
-    }
-  }
-}
-
-void squared_distances_tile(const double* pts, std::size_t n, std::size_t d,
-                            const double* panel, std::size_t k, std::size_t kp, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    squared_distances_batch(pts + i * d, d, panel, k, kp, out + i * k);
-  }
-}
 
 std::size_t argmin_batch(const double* q, std::size_t d, const double* panel, std::size_t k,
                          std::size_t kp, double* best_d2) {

@@ -76,32 +76,6 @@ void axpy(double* y, const double* x, double a, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void squared_distances_batch(const double* q, std::size_t d, const double* panel,
-                             std::size_t k, std::size_t kp, double* out) {
-  // Per centroid, accumulate dimensions in ascending order — a single
-  // running sum, exactly what the per-lane AVX2 accumulator computes.
-  for (std::size_t g = 0; g * kPanelLane < kp; ++g) {
-    const double* grp = panel + g * d * kPanelLane;
-    for (std::size_t lane = 0; lane < kPanelLane; ++lane) {
-      const std::size_t c = g * kPanelLane + lane;
-      if (c >= k) break;
-      double acc = 0.0;
-      for (std::size_t j = 0; j < d; ++j) {
-        const double diff = q[j] - grp[j * kPanelLane + lane];
-        acc += diff * diff;
-      }
-      out[c] = acc;
-    }
-  }
-}
-
-void squared_distances_tile(const double* pts, std::size_t n, std::size_t d,
-                            const double* panel, std::size_t k, std::size_t kp, double* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    squared_distances_batch(pts + i * d, d, panel, k, kp, out + i * k);
-  }
-}
-
 std::size_t argmin_batch(const double* q, std::size_t d, const double* panel, std::size_t k,
                          std::size_t kp, double* best_d2) {
   // Start from +inf with strict < so NaN distances never win and ties

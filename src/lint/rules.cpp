@@ -345,10 +345,10 @@ void rule_l1(const std::string& path, const Toks& t, std::vector<Finding>& out) 
 
 const std::set<std::string>& collective_members() {
   static const std::set<std::string> k{
-      "barrier",        "broadcast",      "broadcast_bytes",   "broadcast_value",
-      "broadcast_into", "reduce",         "reduce_inplace",    "allreduce",
-      "allreduce_inplace", "allreduce_value", "gather",         "allgather",
-      "allgather_into", "scatter_blocks", "alltoall",          "shrink",
+      "barrier",        "broadcast",      "broadcast_value",   "broadcast_into",
+      "reduce",         "reduce_inplace", "allreduce",         "allreduce_inplace",
+      "allreduce_value", "gather",        "allgather",         "allgather_into",
+      "scatter_blocks", "alltoall",       "shrink",
   };
   return k;
 }

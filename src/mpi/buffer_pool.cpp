@@ -1,8 +1,6 @@
 #include "mpi/buffer_pool.hpp"
 
 #include <array>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <new>
 
@@ -66,7 +64,6 @@ struct BufferPool::Impl {
     std::size_t count = 0;
   };
   std::array<FreeList, kNumClasses> classes;
-  std::atomic<bool> pooling{true};
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
@@ -75,13 +72,7 @@ struct BufferPool::Impl {
   std::atomic<std::uint64_t> free_bytes{0};
 };
 
-BufferPool::BufferPool() : impl_{new Impl} {
-  if (const char* env = std::getenv("PEACHY_MPI_POOL")) {
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0) {
-      impl_->pooling.store(false, std::memory_order_relaxed);
-    }
-  }
-}
+BufferPool::BufferPool() : impl_{new Impl} {}
 
 BufferPool& BufferPool::instance() {
   static BufferPool* pool = new BufferPool;  // leaked: outlives every rank thread
@@ -92,7 +83,7 @@ PayloadBuffer BufferPool::acquire(std::size_t bytes) {
   impl_->acquires.fetch_add(1, std::memory_order_relaxed);
   const std::uint32_t cls = class_for(bytes);
   SlabHeader* h = nullptr;
-  if (cls != kUnpooledClass && impl_->pooling.load(std::memory_order_relaxed)) {
+  if (cls != kUnpooledClass) {
     Impl::FreeList& fl = impl_->classes[cls];
     std::lock_guard lock{fl.mu};
     if (fl.head != nullptr) {
@@ -150,7 +141,7 @@ PayloadBuffer BufferPool::adopt_erased(void* obj, void (*destroy)(void*),
 void BufferPool::release_slab(SlabHeader* h) noexcept {
   impl_->live.fetch_sub(1, std::memory_order_relaxed);
   const std::uint32_t cls = h->size_class;
-  if (cls != kUnpooledClass && impl_->pooling.load(std::memory_order_relaxed)) {
+  if (cls != kUnpooledClass) {
     Impl::FreeList& fl = impl_->classes[cls];
     std::lock_guard lock{fl.mu};
     if (fl.count < kMaxParkedPerClass) {
@@ -178,15 +169,6 @@ PoolStats BufferPool::stats() const noexcept {
   s.live = impl_->live.load(std::memory_order_relaxed);
   s.free_bytes = impl_->free_bytes.load(std::memory_order_relaxed);
   return s;
-}
-
-void BufferPool::set_pooling(bool enabled) noexcept {
-  impl_->pooling.store(enabled, std::memory_order_relaxed);
-  if (!enabled) trim();
-}
-
-bool BufferPool::pooling() const noexcept {
-  return impl_->pooling.load(std::memory_order_relaxed);
 }
 
 void BufferPool::trim() noexcept {

@@ -33,10 +33,7 @@
 /// The pool is a process-lifetime singleton (like the obs registries):
 /// buffers survive across `Machine` lifetimes, which is what makes
 /// repeated short runs — the shape of every experiment harness —
-/// allocation-free after the first.  `PEACHY_MPI_POOL=0` (or
-/// `set_pooling(false)`) disables reuse for debugging / ASan precision:
-/// every acquire allocates and every release frees, with identical
-/// semantics.
+/// allocation-free after the first.
 
 #include <atomic>
 #include <cstddef>
@@ -171,11 +168,6 @@ class BufferPool {
   }
 
   [[nodiscard]] PoolStats stats() const noexcept;
-
-  /// Enable/disable slab reuse (PEACHY_MPI_POOL=0 sets this at startup).
-  /// Call only while no pooled buffers are in flight.
-  void set_pooling(bool enabled) noexcept;
-  [[nodiscard]] bool pooling() const noexcept;
 
   /// Free every parked slab (test isolation / memory pressure).
   void trim() noexcept;

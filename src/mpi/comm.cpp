@@ -21,24 +21,18 @@ void Comm::barrier() {
   }
 }
 
-void Comm::broadcast_bytes(std::vector<std::byte>& data, int root) {
+PayloadBuffer Comm::broadcast_(std::span<const std::byte> bytes, int root) {
   PEACHY_CHECK(root >= 0 && root < size(), "broadcast: bad root");
   const int tag = begin_collective(
       {"broadcast", root, 1,
-       rank_ == root ? static_cast<std::int64_t>(data.size()) : std::int64_t{-1}});
+       rank_ == root ? static_cast<std::int64_t>(bytes.size()) : std::int64_t{-1}});
   const obs::SpanScope span{"mpi", "broadcast"};
   PayloadBuffer buf;
   if (rank_ == root) {
-    buf = BufferPool::instance().acquire(data.size());
-    if (!data.empty()) std::memcpy(buf.mutable_data(), data.data(), data.size());
+    buf = BufferPool::instance().acquire(bytes.size());
+    if (!bytes.empty()) std::memcpy(buf.mutable_data(), bytes.data(), bytes.size());
   }
-  bcast_payload(buf, root, tag);
-  if (rank_ != root) data = buf.release_bytes();
-}
-
-void Comm::bcast_payload(PayloadBuffer& buf, int root, int tag) {
   const int p = size();
-  if (p == 1) return;
   const int vrank = (rank_ - root + p) % p;
   // Receive phase: find the lowest set bit position where we get our copy.
   int mask = 1;
@@ -62,19 +56,7 @@ void Comm::bcast_payload(PayloadBuffer& buf, int root, int tag) {
     }
     mask >>= 1;
   }
-}
-
-void Comm::allgather_blocks_ring(std::vector<PayloadBuffer>& blocks, int tag) {
-  const int p = size();
-  const int right = (rank_ + 1) % p;
-  const int left = (rank_ - 1 + p) % p;
-  for (int step = 0; step < p - 1; ++step) {
-    const int send_block = (rank_ - step + p) % p;
-    const int recv_block = (rank_ - step - 1 + p) % p;
-    machine_->post_move(world_rank(), to_world(right), tag,
-                        blocks[static_cast<std::size_t>(send_block)].share(), comm_id_);
-    blocks[static_cast<std::size_t>(recv_block)] = recv_buffer(left, tag);
-  }
+  return buf;
 }
 
 void Comm::revoke() { machine_->revoke(comm_id_); }

@@ -364,21 +364,18 @@ class Comm {
   }
 
   /// Blocking receive matching (source, tag); wildcards allowed.
+  /// Zero-copy when the sender used send_bytes_move; one memcpy otherwise.
   [[nodiscard]] std::vector<std::byte> recv_bytes(int source, int tag, Status* st = nullptr) {
-    detail::Message m = take_(source, tag);
-    if (st != nullptr) *st = Status{m.source, m.tag, m.payload.size()};
-    // Zero-copy when the sender used send_bytes_move; one memcpy otherwise.
-    return m.payload.release_bytes();
+    return recv<std::byte>(source, tag, st);
   }
 
   /// recv_bytes with a one-shot deadline overriding the communicator's
   /// op timeout; raises faults::TimeoutError on expiry.
   [[nodiscard]] std::vector<std::byte> recv_bytes(int source, int tag,
                                                   std::chrono::nanoseconds timeout,
-                                    Status* st = nullptr) {
-    detail::Message m = take_timed_(source, tag, checked_timeout_ns(timeout, "recv_bytes"));
-    if (st != nullptr) *st = Status{m.source, m.tag, m.payload.size()};
-    return m.payload.release_bytes();
+                                                  Status* st = nullptr) {
+    return to_vector_<std::byte>(
+        take_timed_(source, tag, checked_timeout_ns(timeout, "recv_bytes")), st);
   }
 
   /// Blocking receive into the transport's own buffer (zero copies).  The
@@ -440,33 +437,15 @@ class Comm {
   /// payload is deserialized directly into the typed vector (one memcpy).
   template <typename T>
   [[nodiscard]] std::vector<T> recv(int source, int tag, Status* st = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    detail::Message m = take_(source, tag);
-    if (st != nullptr) *st = Status{m.source, m.tag, m.payload.size()};
-    if constexpr (std::is_same_v<T, std::byte>) {
-      return m.payload.release_bytes();
-    } else {
-      PEACHY_CHECK(m.payload.size() % sizeof(T) == 0,
-                   "recv: payload size not a multiple of sizeof(T)");
-      std::vector<T> out(m.payload.size() / sizeof(T));
-      if (!out.empty()) std::memcpy(out.data(), m.payload.data(), m.payload.size());
-      return out;
-    }
+    return to_vector_<T>(take_(source, tag), st);
   }
 
   /// Typed receive with a one-shot deadline overriding the communicator's
   /// op timeout; raises faults::TimeoutError on expiry.
   template <typename T>
   [[nodiscard]] std::vector<T> recv(int source, int tag, std::chrono::nanoseconds timeout,
-                      Status* st = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    detail::Message m = take_timed_(source, tag, checked_timeout_ns(timeout, "recv"));
-    if (st != nullptr) *st = Status{m.source, m.tag, m.payload.size()};
-    PEACHY_CHECK(m.payload.size() % sizeof(T) == 0,
-                 "recv: payload size not a multiple of sizeof(T)");
-    std::vector<T> out(m.payload.size() / sizeof(T));
-    if (!out.empty()) std::memcpy(out.data(), m.payload.data(), m.payload.size());
-    return out;
+                                    Status* st = nullptr) {
+    return to_vector_<T>(take_timed_(source, tag, checked_timeout_ns(timeout, "recv")), st);
   }
 
   /// Typed receive landing exactly `out.size()` elements in caller
@@ -496,29 +475,15 @@ class Comm {
   /// Dissemination barrier: ceil(log2 p) rounds of pairwise tokens.
   void barrier();
 
-  /// Binomial-tree broadcast of a byte buffer from `root`.
-  void broadcast_bytes(std::vector<std::byte>& data, int root);
-
   /// Typed broadcast: after the call every rank holds root's vector.
   template <typename T>
   void broadcast(std::vector<T>& data, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
-    PEACHY_CHECK(root >= 0 && root < size(), "broadcast: bad root");
-    const int tag = begin_collective(
-        {"broadcast", root, 1,
-         rank_ == root ? static_cast<std::int64_t>(data.size() * sizeof(T)) : std::int64_t{-1}});
-    const obs::SpanScope span{"mpi", "broadcast"};
-    PayloadBuffer buf;
-    if (rank_ == root) {
-      buf = BufferPool::instance().acquire(data.size() * sizeof(T));
-      if (!data.empty()) std::memcpy(buf.mutable_data(), data.data(), buf.size());
-    }
-    bcast_payload(buf, root, tag);
-    if (rank_ != root) {
-      PEACHY_CHECK(buf.size() % sizeof(T) == 0, "broadcast: size mismatch");
-      data.resize(buf.size() / sizeof(T));
-      if (!data.empty()) std::memcpy(data.data(), buf.data(), buf.size());
-    }
+    const PayloadBuffer buf = broadcast_(std::as_bytes(std::span<const T>{data}), root);
+    if (rank_ == root) return;
+    PEACHY_CHECK(buf.size() % sizeof(T) == 0, "broadcast: size mismatch");
+    data.resize(buf.size() / sizeof(T));
+    if (!data.empty()) std::memcpy(data.data(), buf.data(), buf.size());
   }
 
   /// Typed broadcast of one value.
@@ -535,24 +500,12 @@ class Comm {
   template <typename T>
   void broadcast_into(std::span<T> data, int root) {
     static_assert(std::is_trivially_copyable_v<T>);
-    PEACHY_CHECK(root >= 0 && root < size(), "broadcast: bad root");
-    const int tag = begin_collective(
-        {"broadcast", root, 1,
-         rank_ == root ? static_cast<std::int64_t>(data.size() * sizeof(T)) : std::int64_t{-1}});
-    const obs::SpanScope span{"mpi", "broadcast"};
-    PayloadBuffer buf;
-    if (rank_ == root) {
-      buf = BufferPool::instance().acquire(data.size() * sizeof(T));
-      if (!data.empty()) std::memcpy(buf.mutable_data(), data.data(), buf.size());
-    }
-    bcast_payload(buf, root, tag);
-    if (rank_ != root) {
-      PEACHY_CHECK(buf.size() == data.size() * sizeof(T),
-                   "broadcast_into: received " + std::to_string(buf.size()) +
-                       " bytes into a " + std::to_string(data.size() * sizeof(T)) +
-                       "-byte buffer");
-      if (!data.empty()) std::memcpy(data.data(), buf.data(), buf.size());
-    }
+    const PayloadBuffer buf = broadcast_(std::as_bytes(std::span<const T>{data}), root);
+    if (rank_ == root) return;
+    PEACHY_CHECK(buf.size() == data.size() * sizeof(T),
+                 "broadcast_into: received " + std::to_string(buf.size()) + " bytes into a " +
+                     std::to_string(data.size() * sizeof(T)) + "-byte buffer");
+    if (!data.empty()) std::memcpy(data.data(), buf.data(), buf.size());
   }
 
   /// In-place binomial-tree reduction: combines every rank's `data` into
@@ -649,30 +602,26 @@ class Comm {
     return all;
   }
 
-  /// Ring allgather of variable-size contributions: p−1 rounds, each rank
-  /// forwarding the block it received in the previous round *by
-  /// reference* (a refcount bump — blocks are never re-serialized).
+  /// Ring allgather of variable-size contributions (see allgather_ring_).
   /// Returns the concatenation in rank order on every rank.
   template <typename T>
   [[nodiscard]] std::vector<T> allgather(std::span<const T> local) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
     const obs::SpanScope span{"mpi", "allgather"};
-    const int p = size();
-    std::vector<PayloadBuffer> blocks(static_cast<std::size_t>(p));
-    blocks[static_cast<std::size_t>(rank_)] =
-        BufferPool::instance().acquire(local.size() * sizeof(T));
-    if (!local.empty()) {
-      std::memcpy(blocks[static_cast<std::size_t>(rank_)].mutable_data(), local.data(),
-                  local.size() * sizeof(T));
-    }
-    allgather_blocks_ring(blocks, tag);
-    for (int r = 0; r < p; ++r) {
-      PEACHY_CHECK(blocks[static_cast<std::size_t>(r)].size() % sizeof(T) == 0,
-                   "allgather: payload size not a multiple of sizeof(T)");
-    }
+    std::vector<PayloadBuffer> blocks(static_cast<std::size_t>(size()));
+    PayloadBuffer& mine = blocks[static_cast<std::size_t>(rank_)];
+    mine = BufferPool::instance().acquire(local.size() * sizeof(T));
+    if (!local.empty()) std::memcpy(mine.mutable_data(), local.data(), mine.size());
+    allgather_ring_(mine.share(), tag, [&blocks](int b, const PayloadBuffer& got) {
+      blocks[static_cast<std::size_t>(b)] = got.share();
+    });
     std::size_t total_bytes = 0;
-    for (const auto& b : blocks) total_bytes += b.size();
+    for (const auto& b : blocks) {
+      PEACHY_CHECK(b.size() % sizeof(T) == 0,
+                   "allgather: payload size not a multiple of sizeof(T)");
+      total_bytes += b.size();
+    }
     std::vector<T> all(total_bytes / sizeof(T));
     auto* out = reinterpret_cast<std::byte*>(all.data());
     for (const auto& b : blocks) {
@@ -686,17 +635,16 @@ class Comm {
   /// contributes the static block r of `out` (support::static_block — the
   /// same partition scatter_blocks uses) and on return every rank's `out`
   /// holds the full concatenation.  Traffic is identical to allgather();
-  /// the result lands directly in caller storage with no concatenation
-  /// buffer.  A contribution that does not match the block layout is a
-  /// named error.
+  /// each block lands directly in caller storage as it arrives, with no
+  /// concatenation buffer.  A contribution that does not match the block
+  /// layout is a named error.
   template <typename T>
   void allgather_into(std::span<const T> local, std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
     const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
     const obs::SpanScope span{"mpi", "allgather"};
-    const int p = size();
-    const auto mine = support::static_block(out.size(), static_cast<std::size_t>(p),
-                                            static_cast<std::size_t>(rank_));
+    const auto p = static_cast<std::size_t>(size());
+    const auto mine = support::static_block(out.size(), p, static_cast<std::size_t>(rank_));
     PEACHY_CHECK(local.size() == mine.end - mine.begin,
                  "allgather_into: local size " + std::to_string(local.size()) +
                      " does not equal this rank's static block of the output (" +
@@ -706,21 +654,15 @@ class Comm {
     }
     if (p == 1) return;
     PayloadBuffer cur = BufferPool::instance().acquire(local.size() * sizeof(T));
-    if (!local.empty()) std::memcpy(cur.mutable_data(), local.data(), local.size() * sizeof(T));
-    const int right = (rank_ + 1) % p;
-    const int left = (rank_ - 1 + p) % p;
-    for (int step = 0; step < p - 1; ++step) {
-      const int recv_block = (rank_ - step - 1 + p) % p;
-      machine_->post_move(world_rank(), to_world(right), tag, cur.share(), comm_id_);
-      cur = recv_buffer(left, tag);
-      const auto blk = support::static_block(out.size(), static_cast<std::size_t>(p),
-                                             static_cast<std::size_t>(recv_block));
-      PEACHY_CHECK(cur.size() == (blk.end - blk.begin) * sizeof(T),
-                   "allgather_into: received " + std::to_string(cur.size()) +
-                       " bytes for block " + std::to_string(recv_block) + " (expected " +
+    if (!local.empty()) std::memcpy(cur.mutable_data(), local.data(), cur.size());
+    allgather_ring_(std::move(cur), tag, [out, p](int b, const PayloadBuffer& got) {
+      const auto blk = support::static_block(out.size(), p, static_cast<std::size_t>(b));
+      PEACHY_CHECK(got.size() == (blk.end - blk.begin) * sizeof(T),
+                   "allgather_into: received " + std::to_string(got.size()) +
+                       " bytes for block " + std::to_string(b) + " (expected " +
                        std::to_string((blk.end - blk.begin) * sizeof(T)) + ")");
-      if (!cur.empty()) std::memcpy(out.data() + blk.begin, cur.data(), cur.size());
-    }
+      if (!got.empty()) std::memcpy(out.data() + blk.begin, got.data(), got.size());
+    });
   }
 
   /// Scatter near-even static blocks of root's vector; returns this
@@ -753,28 +695,13 @@ class Comm {
   /// returns recvbufs where recvbufs[r] came from rank r (alltoallv).
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> alltoall(const std::vector<std::vector<T>>& sendbufs) {
-    PEACHY_CHECK(static_cast<int>(sendbufs.size()) == size(),
-                 "alltoall: need one send buffer per rank");
-    const int tag = begin_collective({"alltoall", -1, sizeof(T), -1});
-    const int p = size();
-    std::vector<std::vector<T>> recvbufs(static_cast<std::size_t>(p));
-    recvbufs[static_cast<std::size_t>(rank_)] = sendbufs[static_cast<std::size_t>(rank_)];
-    // Buffered sends never block, so post all sends then drain receives.
-    for (int k = 1; k < p; ++k) {
-      const int dest = (rank_ + k) % p;
-      coll_send<T>(dest, tag, sendbufs[static_cast<std::size_t>(dest)]);
-    }
-    for (int k = 1; k < p; ++k) {
-      const int src = (rank_ - k + p) % p;
-      recvbufs[static_cast<std::size_t>(src)] = recv<T>(src, tag);
-    }
-    return recvbufs;
+    return alltoall(std::vector<std::vector<T>>(sendbufs));
   }
 
   /// All-to-all taking ownership of the send buffers: the self-bucket is
   /// *moved* into the result (no copy), and every outgoing buffer rides
-  /// the zero-copy adoption path.  Traffic counters are identical to the
-  /// copying overload (the self-bucket never was a message).
+  /// the zero-copy adoption path.  The copying overload forwards here;
+  /// its counters are the same (the self-bucket never was a message).
   template <typename T>
   [[nodiscard]] std::vector<std::vector<T>> alltoall(std::vector<std::vector<T>>&& sendbufs) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -843,16 +770,28 @@ class Comm {
                  "send: user tags must be in [0, 2^30)");
   }
 
-  /// Binomial-tree broadcast of a pooled payload along `tag`'s edges:
-  /// at root `buf` is the payload to send (forwarded to each child by
-  /// refcount bump); at non-root, `buf` holds the received payload on
-  /// return, after forwarding it down this rank's subtree.
-  void bcast_payload(PayloadBuffer& buf, int root, int tag);
+  /// The binomial-tree broadcast behind broadcast/broadcast_into: checks
+  /// the root, opens the collective, copies root's `bytes` into a pooled
+  /// payload and forwards it down the tree by refcount bump.  Returns the
+  /// payload every rank ends up holding (root's own copy at the root).
+  PayloadBuffer broadcast_(std::span<const std::byte> bytes, int root);
 
-  /// Block-exchange engines behind allgather/allgather_into.  On entry
-  /// `blocks[rank_]` holds this rank's contribution; on return every
-  /// slot is filled.  All forwarding is by refcount bump.
-  void allgather_blocks_ring(std::vector<PayloadBuffer>& blocks, int tag);
+  /// The ring behind allgather/allgather_into: p−1 rounds; in round s this
+  /// rank sends block (rank−s) right and receives block (rank−s−1) from
+  /// the left.  `cur` is this rank's own block; each received block is
+  /// handed to `land(block, payload)` as it arrives and then forwarded by
+  /// reference the next round — blocks are never re-serialized.
+  template <typename Land>
+  void allgather_ring_(PayloadBuffer cur, int tag, Land&& land) {
+    const int p = size();
+    const int right = (rank_ + 1) % p;
+    const int left = (rank_ - 1 + p) % p;
+    for (int step = 0; step < p - 1; ++step) {
+      machine_->post_move(world_rank(), to_world(right), tag, std::move(cur), comm_id_);
+      cur = recv_buffer(left, tag);
+      land((rank_ - step - 1 + p) % p, cur);
+    }
+  }
 
   /// Binomial-tree reduction: combine order is "own value first, then each arriving subtree in mask
   /// order" — pinned per (p, root), so float results repeat bit-for-bit.
@@ -888,10 +827,6 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     machine_->post(world_rank(), to_world(dest), tag, std::as_bytes(data), comm_id_);
   }
-  template <typename T>
-  void coll_send(int dest, int tag, const std::vector<T>& data) {
-    coll_send<T>(dest, tag, std::span<const T>{data.data(), data.size()});
-  }
 
   /// Sub-communicator constructor (shrink's result).
   Comm(detail::Machine& machine, int rank, std::vector<int> group, std::uint32_t comm_id,
@@ -924,6 +859,24 @@ class Comm {
                                   " ns) would silently mean \"wait forever\""};
     }
     return static_cast<std::uint64_t>(t.count());
+  }
+
+  /// The payload-to-vector step every vector-returning receive shares:
+  /// fills `st`, then steals an adopted byte vector or copies into a
+  /// fresh typed one.
+  template <typename T>
+  static std::vector<T> to_vector_(detail::Message&& m, Status* st) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (st != nullptr) *st = Status{m.source, m.tag, m.payload.size()};
+    if constexpr (std::is_same_v<T, std::byte>) {
+      return m.payload.release_bytes();
+    } else {
+      PEACHY_CHECK(m.payload.size() % sizeof(T) == 0,
+                   "recv: payload size not a multiple of sizeof(T)");
+      std::vector<T> out(m.payload.size() / sizeof(T));
+      if (!out.empty()) std::memcpy(out.data(), m.payload.data(), m.payload.size());
+      return out;
+    }
   }
 
   /// The single receive path: validates the local source, translates to

@@ -118,20 +118,6 @@ TEST(BufferPool, AdoptTypedPreservesBytesWithoutCopy) {
   EXPECT_EQ(got[1], -2.5);
 }
 
-TEST(BufferPool, DisabledPoolingNeverReuses) {
-  auto& pool = pm::BufferPool::instance();
-  pool.trim();
-  pool.set_pooling(false);
-  const auto before = pool.stats();
-  { auto a = pool.acquire(512); }
-  { auto b = pool.acquire(512); }
-  const auto after = pool.stats();
-  EXPECT_EQ(after.hits, before.hits);  // no reuse
-  EXPECT_EQ(after.misses, before.misses + 2);
-  EXPECT_EQ(pool.stats().free_bytes, 0u);  // nothing parked
-  pool.set_pooling(true);
-}
-
 // The TSan fixture: producers acquire/adopt, fill, and hand buffers (plus
 // shared aliases) to consumers over a queue; consumers verify contents
 // and drop the last references concurrently with producer releases, so

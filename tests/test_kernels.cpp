@@ -143,26 +143,35 @@ TEST(KernelsEquivalence, RowsDistancesUnalignedTails) {
   }
 }
 
-TEST(KernelsEquivalence, BatchAndTileDistancesAllShapes) {
+TEST(KernelsEquivalence, ArgminBatchAllShapes) {
   if (!have_avx2()) GTEST_SKIP() << "no AVX2 path in this build/CPU";
   for (const std::size_t k : kCounts) {
     for (const std::size_t d : {1ul, 2ul, 5ul, 8ul, 13ul}) {
       const auto cent = random_values(k * d, 11 * k + d);
       const auto panel = make_panel({cent.begin(), cent.end()}, k, d);
-      const std::size_t n = 9;
-      const auto pts = random_values(n * d, 13 * k + d);
-      std::vector<double> want(n * k), got(n * k);
-      pk::ref::squared_distances_tile(pts.data(), n, d, panel.data(), k, panel.padded,
-                                      want.data());
-      pk::ScopedIsa pin{pk::Isa::kAvx2};
-      pk::squared_distances_tile(pts.data(), n, d, panel.data(), k, panel.padded, got.data());
-      for (std::size_t i = 0; i < n * k; ++i) {
-        EXPECT_TRUE(bits_equal(want[i], got[i])) << "k=" << k << " d=" << d << " i=" << i;
+      // Nine random queries, then one query next to each centroid so that
+      // every lane of every panel group wins at least once and its
+      // distance bits are compared.
+      const std::size_t n = 9 + k;
+      auto pts = random_values(n * d, 13 * k + d);
+      for (std::size_t c = 0; c < k; ++c) {
+        for (std::size_t j = 0; j < d; ++j) {
+          pts[(9 + c) * d + j] = cent[c * d + j] + 1e-3 * pts[(9 + c) * d + j];
+        }
       }
-      // Single-query form agrees with row 0 of the tile.
-      std::vector<double> one(k);
-      pk::squared_distances_batch(pts.data(), d, panel.data(), k, panel.padded, one.data());
-      for (std::size_t c = 0; c < k; ++c) EXPECT_TRUE(bits_equal(want[c], one[c]));
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* q = pts.data() + i * d;
+        double want_d2 = 0.0, got_d2 = 0.0;
+        const std::size_t want = pk::ref::argmin_batch(q, d, panel.data(), k, panel.padded,
+                                                       &want_d2);
+        pk::ScopedIsa pin{pk::Isa::kAvx2};
+        const std::size_t got = pk::argmin_batch(q, d, panel.data(), k, panel.padded, &got_d2);
+        if (i >= 9) {
+          ASSERT_EQ(want, i - 9) << "k=" << k << " d=" << d;  // lane coverage
+        }
+        EXPECT_EQ(want, got) << "k=" << k << " d=" << d << " i=" << i;
+        EXPECT_TRUE(bits_equal(want_d2, got_d2)) << "k=" << k << " d=" << d << " i=" << i;
+      }
     }
   }
 }

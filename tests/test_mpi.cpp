@@ -23,6 +23,7 @@
 #include "faults/faults.hpp"
 #include "faults/plan.hpp"
 #include "mpi/mpi.hpp"
+#include "support/parallel_for.hpp"
 
 namespace pm = peachy::mpi;
 
@@ -513,6 +514,81 @@ TEST(MpiCollectiveResults, BroadcastAndAllgatherMatchReference) {
       const auto cat = comm.allgather<std::int64_t>(std::span<const std::int64_t>{mine});
       ASSERT_EQ(cat, all);
     });
+    // Uneven static blocks: n % p != 0, and n < p, where some blocks are
+    // empty.  allgather_into lands them in place; allgather concatenates.
+    for (const std::size_t n : {std::size_t{5} * p + 1, std::size_t(p - 1)}) {
+      std::vector<std::int64_t> want(n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = 7 * static_cast<std::int64_t>(i) + 1;
+      pm::run(p, [&](pm::Comm& comm) {
+        const auto blk = peachy::support::static_block(n, static_cast<std::size_t>(p),
+                                                       static_cast<std::size_t>(comm.rank()));
+        const std::vector<std::int64_t> mine(want.begin() + static_cast<std::ptrdiff_t>(blk.begin),
+                                             want.begin() + static_cast<std::ptrdiff_t>(blk.end));
+        std::vector<std::int64_t> all(n, -1);
+        comm.allgather_into<std::int64_t>(std::span<const std::int64_t>{mine},
+                                          std::span<std::int64_t>{all});
+        ASSERT_EQ(all, want) << "allgather_into p=" << p << " n=" << n;
+        ASSERT_EQ(comm.allgather<std::int64_t>(std::span<const std::int64_t>{mine}), want)
+            << "allgather p=" << p << " n=" << n;
+      });
+    }
+    // Variable-size contributions: rank r sends r copies of r.
+    std::vector<std::int32_t> ragged;
+    for (int r = 0; r < p; ++r) ragged.insert(ragged.end(), static_cast<std::size_t>(r), r);
+    pm::run(p, [&](pm::Comm& comm) {
+      const std::vector<std::int32_t> mine(static_cast<std::size_t>(comm.rank()), comm.rank());
+      ASSERT_EQ(comm.allgather<std::int32_t>(std::span<const std::int32_t>{mine}), ragged)
+          << "allgather p=" << p;
+    });
+    // Named errors.  Every rank records the peachy::Error it gets, and no
+    // rank is left blocked: the receivers' errors abort the run, which
+    // wakes the root out of the barrier that follows its broadcast.
+    std::vector<std::string> errors(static_cast<std::size_t>(p));
+    const auto record = [&errors](const pm::Comm& comm, const auto& body) {
+      try {
+        body();
+      } catch (const peachy::Error& e) {
+        errors[static_cast<std::size_t>(comm.rank())] = e.what();
+        throw;
+      }
+    };
+    EXPECT_THROW(pm::run(p,
+                         [&](pm::Comm& comm) {
+                           record(comm, [&comm] {
+                             std::vector<std::int32_t> data(comm.rank() == 0 ? 8 : 9);
+                             comm.broadcast_into<std::int32_t>(std::span<std::int32_t>{data}, 0);
+                             comm.barrier();
+                           });
+                         }),
+                 peachy::Error);
+    for (int r = 0; r < p; ++r) {
+      const std::string& what = errors[static_cast<std::size_t>(r)];
+      EXPECT_FALSE(what.empty()) << "rank " << r << " p=" << p;
+      if (r > 0) {
+        EXPECT_NE(what.find("broadcast_into: received 32 bytes into a 36-byte buffer"),
+                  std::string::npos)
+            << what;
+      }
+    }
+    errors.assign(static_cast<std::size_t>(p), std::string{});
+    EXPECT_THROW(pm::run(p,
+                         [&](pm::Comm& comm) {
+                           record(comm, [&comm] {
+                             // Every block of an 8-element output is at
+                             // most 4 elements; 5 matches none.
+                             const std::vector<std::int64_t> mine(5);
+                             std::vector<std::int64_t> all(8);
+                             comm.allgather_into<std::int64_t>(
+                                 std::span<const std::int64_t>{mine},
+                                 std::span<std::int64_t>{all});
+                           });
+                         }),
+                 peachy::Error);
+    for (int r = 0; r < p; ++r) {
+      EXPECT_NE(errors[static_cast<std::size_t>(r)].find("allgather_into: local size 5"),
+                std::string::npos)
+          << "rank " << r << " p=" << p << ": " << errors[static_cast<std::size_t>(r)];
+    }
   }
 }
 

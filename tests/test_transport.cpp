@@ -261,8 +261,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, Transports,
                          ::testing::Values(pm::TransportKind::kInproc,
                                            pm::TransportKind::kShm,
                                            pm::TransportKind::kSocket),
-                         [](const ::testing::TestParamInfo<pm::TransportKind>& info) {
-                           return pm::transport_name(info.param);
+                         [](const ::testing::TestParamInfo<pm::TransportKind>& param_info) {
+                           return pm::transport_name(param_info.param);
                          });
 
 // ---- selection plumbing -----------------------------------------------------
