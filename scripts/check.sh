@@ -395,9 +395,13 @@ run_chaos_smoke() {
   cmake --build "$asan" --target test_transport -j "$JOBS"
   PEACHY_FAULTS="$plan" "$asan/tests/test_transport"
   echo "==== [chaos-smoke] chaos survival + durable restore (shm + socket) ===="
+  # Three seeds per wire: each seed loses different frames, and a correct
+  # build must recover bit-identically whichever ones the plan drops.
   for transport in shm socket; do
-    "$dir/examples/fault_demo" --mode=traffic --transport="$transport" \
-      --chaos=full --durable --seed=11 --timeout-ms=1500
+    for seed in 11 12 13; do
+      "$dir/examples/fault_demo" --mode=traffic --transport="$transport" \
+        --chaos=full --durable --seed="$seed" --timeout-ms=1500
+    done
   done
   echo "==== [chaos-smoke] byte-identical replay of the seeded wire plan ===="
   local ev="$dir/chaos_events"

@@ -607,7 +607,7 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<T> allgather(std::span<const T> local) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
+    const int tag = begin_collective({"allgather", -1, sizeof(T), -1}, ring_tags_());
     const obs::SpanScope span{"mpi", "allgather"};
     std::vector<PayloadBuffer> blocks(static_cast<std::size_t>(size()));
     PayloadBuffer& mine = blocks[static_cast<std::size_t>(rank_)];
@@ -641,7 +641,7 @@ class Comm {
   template <typename T>
   void allgather_into(std::span<const T> local, std::span<T> out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const int tag = begin_collective({"allgather", -1, sizeof(T), -1});
+    const int tag = begin_collective({"allgather", -1, sizeof(T), -1}, ring_tags_());
     const obs::SpanScope span{"mpi", "allgather"};
     const auto p = static_cast<std::size_t>(size());
     const auto mine = support::static_block(out.size(), p, static_cast<std::size_t>(rank_));
@@ -729,7 +729,8 @@ class Comm {
   /// Traffic counters of the whole machine so far.
   [[nodiscard]] TrafficStats traffic() const noexcept { return machine_->stats(); }
 
-  /// Number of collectives this rank has entered so far.
+  /// Internal tags this rank has taken so far: one per collective, p−1
+  /// per ring allgather (one per round).
   [[nodiscard]] std::uint64_t collective_seq() const noexcept { return coll_seq_; }
 
   /// Test/debug hook: jump the collective sequence counter (must be called
@@ -746,20 +747,26 @@ class Comm {
   // error instead of a silent hazard.
   static constexpr int kInternalTagBase = analysis::kMpiInternalTagBase;
   static constexpr std::uint64_t kInternalSeqLimit = (std::uint64_t{1} << 30) - 1;
-  int next_internal_tag() {
-    PEACHY_CHECK(coll_seq_ <= kInternalSeqLimit,
+  // A collective may reserve `count` consecutive tags (one per ring
+  // round); every rank reserves the same count, so the sequences stay in
+  // lockstep.
+  int next_internal_tag(std::uint64_t count) {
+    PEACHY_CHECK(coll_seq_ + count - 1 <= kInternalSeqLimit,
                  "collective sequence space exhausted (2^30 collectives in one run)");
-    return kInternalTagBase + static_cast<int>(coll_seq_++);
+    const int tag = kInternalTagBase + static_cast<int>(coll_seq_);
+    coll_seq_ += count;
+    return tag;
   }
 
-  /// Allocate the collective's tag and (when checking is on) validate the
-  /// call against the other ranks' collective sequences.  Shrunken
-  /// communicators skip the checker: its collective matcher assumes
-  /// world-wide participation, and sub-communicator collectives validate
-  /// their shape through payload-size checks instead.
-  int begin_collective(const analysis::CollectiveDesc& d) {
+  /// Allocate the collective's first tag (and `tags − 1` more after it)
+  /// and, when checking is on, validate the call against the other ranks'
+  /// collective sequences.  Shrunken communicators skip the checker: its
+  /// collective matcher assumes world-wide participation, and
+  /// sub-communicator collectives validate their shape through
+  /// payload-size checks instead.
+  int begin_collective(const analysis::CollectiveDesc& d, int tags = 1) {
     const std::uint64_t index = coll_seq_;
-    const int tag = next_internal_tag();
+    const int tag = next_internal_tag(static_cast<std::uint64_t>(tags));
     if (comm_id_ == 0) machine_->note_collective(rank_, index, d);
     return tag;
   }
@@ -776,17 +783,24 @@ class Comm {
   /// payload every rank ends up holding (root's own copy at the root).
   PayloadBuffer broadcast_(std::span<const std::byte> bytes, int root);
 
+  /// Tags a ring allgather reserves: one per round, at least one.
+  [[nodiscard]] int ring_tags_() const noexcept { return size() > 1 ? size() - 1 : 1; }
+
   /// The ring behind allgather/allgather_into: p−1 rounds; in round s this
   /// rank sends block (rank−s) right and receives block (rank−s−1) from
   /// the left.  `cur` is this rank's own block; each received block is
   /// handed to `land(block, payload)` as it arrives and then forwarded by
-  /// reference the next round — blocks are never re-serialized.
+  /// reference the next round — blocks are never re-serialized.  Round s
+  /// uses tag `first_tag + s` (the caller reserved p−1 tags): a frame lost
+  /// on the wire then times out its own round instead of letting the next
+  /// round's block land in its slot.
   template <typename Land>
-  void allgather_ring_(PayloadBuffer cur, int tag, Land&& land) {
+  void allgather_ring_(PayloadBuffer cur, int first_tag, Land&& land) {
     const int p = size();
     const int right = (rank_ + 1) % p;
     const int left = (rank_ - 1 + p) % p;
     for (int step = 0; step < p - 1; ++step) {
+      const int tag = first_tag + step;
       machine_->post_move(world_rank(), to_world(right), tag, std::move(cur), comm_id_);
       cur = recv_buffer(left, tag);
       land((rank_ - step - 1 + p) % p, cur);

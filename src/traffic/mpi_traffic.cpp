@@ -1,11 +1,45 @@
 #include "traffic/mpi_traffic.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "support/check.hpp"
 
 namespace peachy::traffic {
+
+namespace {
+
+/// A restored snapshot must be a state a correct run can reach: one entry
+/// per car, positions strictly ascending on the road, velocities in
+/// [0, v_max].  Anything else would resume into a silently wrong run.
+void validate_snapshot(const Spec& spec, const State& st) {
+  PEACHY_CHECK(st.pos.size() == spec.cars && st.vel.size() == spec.cars,
+               "traffic restart: snapshot car count does not match the spec");
+  const auto L = static_cast<std::int64_t>(spec.road_length);
+  for (std::size_t i = 0; i < st.pos.size(); ++i) {
+    PEACHY_CHECK(st.pos[i] >= 0 && st.pos[i] < L && (i == 0 || st.pos[i - 1] < st.pos[i]),
+                 "traffic restart: snapshot car " + std::to_string(i) + " at " +
+                     std::to_string(st.pos[i]) +
+                     " breaks strictly ascending positions in [0, road_length)");
+    PEACHY_CHECK(st.vel[i] >= 0 && st.vel[i] <= spec.v_max,
+                 "traffic restart: snapshot car " + std::to_string(i) + " has velocity " +
+                     std::to_string(st.vel[i]) + " outside [0, v_max]");
+  }
+}
+
+/// Iteration-boundary snapshot {pos, vel} resuming at `next_step`.  Cold:
+/// it runs once every ft.every steps, outside the exchange's hot path.
+[[gnu::cold]] void save_snapshot(const faults::FtOptions& ft, std::size_t next_step,
+                                 const State& st) {
+  faults::BlobWriter w;
+  w.put_vec(st.pos);
+  w.put_vec(st.vel);
+  ft.store->save(ft.key, faults::Snapshot{next_step, std::move(w).take()});
+  if (obs::enabled()) obs::counter("faults.checkpoints").add(1);
+}
+
+}  // namespace
 
 State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficStats* stats,
               const faults::FtOptions& ft) {
@@ -19,12 +53,11 @@ State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficSt
   const auto L = static_cast<std::int64_t>(spec.road_length);
 
   // Per-step working buffers, hoisted so the step loop allocates nothing:
-  // the block partition is identical every step, and the velocity
-  // exchange lands in a reused int32 staging vector.
+  // the block partition is identical every step, and the exchange lands in
+  // a second replicated position array that is swapped with st.pos.
   const auto blk = support::static_block(n, p, me);
   std::vector<std::int64_t> my_pos(blk.end - blk.begin);
-  std::vector<std::int32_t> my_vel(blk.end - blk.begin);
-  std::vector<std::int32_t> all_vel(n);
+  std::vector<std::int64_t> next_pos(n);
 
   // Restart: every rank reloads the same snapshot (the store is shared
   // memory), so the replicated state stays replicated.  The PRNG cursor is
@@ -36,8 +69,7 @@ State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficSt
       faults::BlobReader r{snap->blob};
       st.pos = r.get_vec<std::int64_t>();
       st.vel = r.get_vec<int>();
-      PEACHY_CHECK(st.pos.size() == n && st.vel.size() == n,
-                   "traffic restart: snapshot car count does not match the spec");
+      validate_snapshot(spec, st);
       first = static_cast<std::size_t>(snap->next_step);
       if (obs::enabled()) obs::counter("faults.restores").add(1);
     }
@@ -54,18 +86,25 @@ State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficSt
         std::int64_t pos = st.pos[i] + v;
         if (pos >= L) pos -= L;
         my_pos[i - blk.begin] = pos;
-        my_vel[i - blk.begin] = v;
       }
     }
 
-    // Exchange: rebuild the replicated state (ring allgather keeps rank
-    // order, which is canonical-index order).  allgather_into lands the
-    // blocks straight into the replicated arrays — the local phase is
-    // complete, so st.pos can be overwritten in place — and its layout
-    // checks are the "exchange lost cars" guard.
-    comm.allgather_into<std::int64_t>(my_pos, std::span<std::int64_t>{st.pos});
-    comm.allgather_into<std::int32_t>(my_vel, std::span<std::int32_t>{all_vel});
-    st.vel.assign(all_vel.begin(), all_vel.end());
+    // Exchange: rebuild the replicated positions (ring allgather keeps
+    // rank order, which is canonical-index order); allgather_into's layout
+    // checks are the "exchange lost cars" guard.  Velocities need no
+    // exchange: a car's new velocity is its displacement this step, and
+    // 0 <= v <= min(v_max, gap) <= L-1 makes the displacement mod L exact.
+    comm.allgather_into<std::int64_t>(my_pos, std::span<std::int64_t>{next_pos});
+    for (std::size_t i = 0; i < n; ++i) {
+      std::int64_t d = next_pos[i] - st.pos[i];
+      if (d < 0) d += L;
+      PEACHY_CHECK(d >= 0 && d <= spec.v_max,
+                   "traffic exchange: car " + std::to_string(i) + " moved " + std::to_string(d) +
+                       " cells in step " + std::to_string(s) + " (v_max " +
+                       std::to_string(spec.v_max) + ")");
+      st.vel[i] = static_cast<int>(d);
+    }
+    st.pos.swap(next_pos);
 
     // Canonicalize identically on every rank (pure local computation on
     // identical replicated data -> identical result everywhere).
@@ -89,11 +128,7 @@ State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficSt
                                   ? comm.rank() == ft.owner
                                   : (comm.spans_processes() || comm.rank() == 0);
     if (ft.active() && (s + 1) % static_cast<std::size_t>(ft.every) == 0 && i_checkpoint) {
-      faults::BlobWriter w;
-      w.put_vec(st.pos);
-      w.put_vec(st.vel);
-      ft.store->save(ft.key, faults::Snapshot{s + 1, std::move(w).take()});
-      if (obs::enabled()) obs::counter("faults.checkpoints").add(1);
+      save_snapshot(ft, s + 1, st);
     }
   }
 

@@ -9,8 +9,11 @@
 /// exchange), *computation* is distributed — each rank updates only its
 /// static block of canonical car indices, fast-forwarding the shared LCG
 /// stream to its block's first draw (the same reproducibility discipline
-/// as the shared-memory version).  A ring allgather then rebuilds the
-/// replicated state for the next step.  Compute is Θ(N/P) per rank per
+/// as the shared-memory version).  One ring allgather of positions then
+/// rebuilds the replicated state for the next step; velocities are not
+/// exchanged, because a car's new velocity is its displacement that step
+/// (a displacement outside [0, v_max] is a named error, never a silently
+/// wrong state).  Compute is Θ(N/P) per rank per
 /// step; communication is Θ(N) per step — the trade-off students are
 /// asked to discover and discuss (and the stepping stone to a halo-only
 /// design).
@@ -42,6 +45,9 @@ struct MpiTrafficStats {
 /// absolute in (step, car index), a resumed run is bit-identical to an
 /// uninterrupted one for ANY rank count — this is the property
 /// examples/fault_demo verifies after a crash + shrink + restart cycle.
+/// A restored snapshot must hold one entry per car, positions strictly
+/// ascending in [0, road_length) and velocities in [0, v_max]; anything
+/// else is a named error.
 [[nodiscard]] State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps,
                             MpiTrafficStats* stats = nullptr,
                             const faults::FtOptions& ft = {});

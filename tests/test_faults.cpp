@@ -17,6 +17,8 @@
 #include <iterator>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "faults/checkpoint.hpp"
 #include "faults/detect.hpp"
@@ -592,22 +594,24 @@ TEST(Checkpoint, TrafficMpiRestartIsBitIdenticalAcrossRankCounts) {
   const std::size_t steps = 60;
   const auto reference = peachy::traffic::run_serial(spec, steps);
 
-  // Run to step 35 on 3 ranks (snapshot lands at step 30), then resume the
-  // full run on 2 ranks — the restart crosses rank counts.
-  pf::CheckpointStore store;
-  pm::run(3, [&](pm::Comm& comm) {
-    (void)peachy::traffic::run_mpi(comm, spec, 35, nullptr, {10, &store, "t"});
-  });
-  ASSERT_TRUE(store.has("t"));
-  EXPECT_EQ(store.load("t")->next_step, 30u);
+  // Run to step 35 (snapshot lands at step 30), then resume the full run
+  // on one rank fewer — the restart crosses rank counts, and the resumed
+  // velocities were derived on a different block partition.
+  for (const auto& [before, after] : {std::pair{3, 2}, std::pair{4, 3}}) {
+    pf::CheckpointStore store;
+    pm::run(before, [&](pm::Comm& comm) {
+      (void)peachy::traffic::run_mpi(comm, spec, 35, nullptr, {10, &store, "t"});
+    });
+    ASSERT_TRUE(store.has("t"));
+    EXPECT_EQ(store.load("t")->next_step, 30u);
 
-  std::array<peachy::traffic::State, 2> finals;
-  pm::run(2, [&](pm::Comm& comm) {
-    finals[static_cast<std::size_t>(comm.rank())] =
-        peachy::traffic::run_mpi(comm, spec, steps, nullptr, {10, &store, "t"});
-  });
-  EXPECT_EQ(finals[0], reference);
-  EXPECT_EQ(finals[1], reference);
+    std::vector<peachy::traffic::State> finals(static_cast<std::size_t>(after));
+    pm::run(after, [&](pm::Comm& comm) {
+      finals[static_cast<std::size_t>(comm.rank())] =
+          peachy::traffic::run_mpi(comm, spec, steps, nullptr, {10, &store, "t"});
+    });
+    for (const auto& st : finals) EXPECT_EQ(st, reference) << before << " -> " << after;
+  }
 }
 
 // ---- satellite (a): non-consuming recv_into ---------------------------------

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "support/check.hpp"
 #include "traffic/diagram.hpp"
@@ -294,4 +298,136 @@ TEST(TrafficMpi, MoreRanksThanCarsStillCorrect) {
   peachy::mpi::run(8, [&](peachy::mpi::Comm& comm) {
     EXPECT_EQ(tr::run_mpi(comm, spec, 25), serial);
   });
+}
+
+// ---- velocity derived from displacement: edge cases --------------------------
+//
+// run_mpi exchanges positions only and derives each velocity as the car's
+// displacement mod L.  These cases sit on the derivation's boundaries: the
+// largest possible displacement (one car, gap L−1, v_max ≥ L), a road with
+// no displacement at all, the random slowdown always or never firing, a
+// single-cell speed limit and ranks with empty blocks.
+
+namespace {
+
+struct DerivationCase {
+  const char* name;
+  std::size_t road_length;
+  std::size_t cars;
+  int v_max;
+  double p_slow;
+};
+
+constexpr DerivationCase kDerivationCases[] = {
+    {"OneCarVmaxAboveRoad", 7, 1, 10, 0.2},
+    {"FullyJammedRoad", 12, 12, 5, 0.13},
+    {"NeverSlow", 60, 15, 5, 0.0},
+    {"AlwaysSlow", 60, 15, 5, 1.0},
+    {"VmaxOne", 50, 20, 1, 0.3},
+    {"ThreeCars", 20, 3, 5, 0.13},  // p = 4 and 8 leave blocks empty
+};
+
+tr::Spec derivation_spec(const DerivationCase& c) {
+  tr::Spec spec;
+  spec.road_length = c.road_length;
+  spec.cars = c.cars;
+  spec.v_max = c.v_max;
+  spec.p_slow = c.p_slow;
+  spec.seed = 4242;
+  return spec;
+}
+
+}  // namespace
+
+class TrafficMpiDerivation
+    : public ::testing::TestWithParam<std::tuple<DerivationCase, int>> {};
+
+TEST_P(TrafficMpiDerivation, BitIdenticalToSerial) {
+  const auto& [c, ranks] = GetParam();
+  const tr::Spec spec = derivation_spec(c);
+  const std::size_t steps = 40;
+  const auto serial = tr::run_serial(spec, steps);
+  std::vector<tr::State> finals(static_cast<std::size_t>(ranks));
+  peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
+    finals[static_cast<std::size_t>(comm.rank())] = tr::run_mpi(comm, spec, steps);
+  });
+  for (int r = 0; r < ranks; ++r) {
+    EXPECT_EQ(finals[static_cast<std::size_t>(r)], serial) << c.name << " rank " << r;
+  }
+  if (spec.cars == spec.road_length) {
+    EXPECT_EQ(tr::stopped_cars(serial), spec.cars);  // nobody can ever move
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, TrafficMpiDerivation,
+    ::testing::Combine(::testing::ValuesIn(kDerivationCases), ::testing::Values(1, 2, 3, 4, 8)),
+    [](const ::testing::TestParamInfo<TrafficMpiDerivation::ParamType>& param_info) {
+      return std::string{std::get<0>(param_info.param).name} + "_p" +
+             std::to_string(std::get<1>(param_info.param));
+    });
+
+TEST(TrafficMpiSteps, VelocitiesMatchReferenceAfterEveryStep) {
+  // Step run_mpi one step at a time — every call resumes from the previous
+  // call's snapshot and runs exactly one more step — and compare the
+  // derived velocities (and positions) with step_reference after each.
+  tr::Spec spec = fig3_spec();
+  spec.road_length = 120;
+  spec.cars = 30;
+  const peachy::rng::SharedStream<peachy::rng::Lcg64> stream{spec.seed};
+  tr::State expected = tr::initial_state(spec);
+  peachy::faults::CheckpointStore store;
+  for (std::size_t s = 0; s < 40; ++s) {
+    tr::step_reference(spec, expected, stream, s);
+    std::array<tr::State, 3> got;
+    peachy::mpi::run(3, [&](peachy::mpi::Comm& comm) {
+      got[static_cast<std::size_t>(comm.rank())] =
+          tr::run_mpi(comm, spec, s + 1, nullptr, {1, &store, "steps"});
+    });
+    ASSERT_EQ(store.load("steps")->next_step, s + 1);
+    for (const auto& st : got) {
+      ASSERT_EQ(st.vel, expected.vel) << "after step " << s;
+      ASSERT_EQ(st.pos, expected.pos) << "after step " << s;
+    }
+  }
+}
+
+// ---- restored snapshots are validated ----------------------------------------
+
+TEST(TrafficMpiRestore, RejectsAnImpossibleSnapshotByName) {
+  tr::Spec spec = fig3_spec();
+  spec.road_length = 50;
+  spec.cars = 4;
+  const struct {
+    std::vector<std::int64_t> pos;
+    std::vector<int> vel;
+    const char* names;
+  } bad[] = {
+      {{1, 2, 3}, {0, 0, 0}, "car count does not match"},
+      {{1, 9, 5, 20}, {0, 0, 0, 0}, "snapshot car 2 at 5 breaks strictly ascending"},
+      {{1, 9, 9, 20}, {0, 0, 0, 0}, "snapshot car 2 at 9 breaks strictly ascending"},
+      {{-1, 9, 15, 20}, {0, 0, 0, 0}, "snapshot car 0 at -1 breaks"},
+      {{1, 9, 15, 50}, {0, 0, 0, 0}, "snapshot car 3 at 50 breaks"},
+      {{1, 9, 15, 20}, {0, -1, 0, 0}, "snapshot car 1 has velocity -1 outside [0, v_max]"},
+      {{1, 9, 15, 20}, {0, 0, 6, 0}, "snapshot car 2 has velocity 6 outside [0, v_max]"},
+  };
+  for (const auto& b : bad) {
+    peachy::faults::CheckpointStore store;
+    peachy::faults::BlobWriter w;
+    w.put_vec(b.pos);
+    w.put_vec(b.vel);
+    store.save("bad", peachy::faults::Snapshot{3, std::move(w).take()});
+    std::array<std::string, 2> errors;
+    peachy::mpi::run(2, [&](peachy::mpi::Comm& comm) {
+      try {
+        (void)tr::run_mpi(comm, spec, 10, nullptr, {5, &store, "bad"});
+      } catch (const peachy::Error& e) {
+        errors[static_cast<std::size_t>(comm.rank())] = e.what();
+      }
+    });
+    for (const auto& what : errors) {
+      EXPECT_NE(what.find("traffic restart"), std::string::npos) << what;
+      EXPECT_NE(what.find(b.names), std::string::npos) << what;
+    }
+  }
 }

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <functional>
 #include <numeric>
@@ -386,6 +387,62 @@ TEST_P(WireChaos, CorruptFrameFailsCrcAndIsCountedNotDelivered) {
   EXPECT_GE(peachy::obs::counter("mpi.transport.crc_fail").value(), 1);
   peachy::obs::disable();
   peachy::obs::reset();
+}
+
+namespace {
+
+/// A p=3 allgather_into of equal-size blocks under a plan that loses rank
+/// 0's first ring frame (round 0 to rank 1).  Every rank must either
+/// complete with every block in its own slot or fail with a named error:
+/// round 1's frame must never stand in for the lost one.  Equal sizes pass
+/// the block-size check, so only the per-round tag tells the rounds apart;
+/// with one tag for both rounds, rank 1 forwarded block 2 as block 0 and
+/// rank 2 completed with it in slot 0.  (Losing the last round's frame
+/// instead leaves nothing to stand in for it: that times out either way.)
+void expect_lost_ring_frame_is_named(pm::RunOptions o) {
+  constexpr int kRanks = 3;
+  constexpr std::size_t kBlock = 4;
+  o.op_timeout_ns = 300'000'000;
+  std::vector<std::int64_t> expected(kRanks * kBlock);
+  std::iota(expected.begin(), expected.end(), 100);
+  std::array<std::string, kRanks> errors;
+  std::array<std::vector<std::int64_t>, kRanks> results;
+  pm::run(kRanks, [&](pm::Comm& c) {
+    const auto me = static_cast<std::size_t>(c.rank());
+    std::vector<std::int64_t> out(expected.size(), -1);
+    try {
+      c.allgather_into<std::int64_t>(
+          std::span<const std::int64_t>{expected}.subspan(me * kBlock, kBlock),
+          std::span<std::int64_t>{out});
+      results[me] = std::move(out);
+    } catch (const pf::TimeoutError& e) {
+      errors[me] = e.what();
+    } catch (const pf::RankFailedError& e) {  // revoked by a peer that timed out
+      errors[me] = e.what();
+    }
+  }, o);
+  int failed = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    if (errors[i].empty()) {
+      EXPECT_EQ(results[i], expected) << "rank " << r << " completed with misplaced blocks";
+    } else {
+      ++failed;
+    }
+  }
+  EXPECT_GE(failed, 1) << "a lost frame must surface somewhere";
+}
+
+}  // namespace
+
+TEST_P(WireChaos, LostRingFrameTimesOutNeverShiftsBlocks) {
+  const auto plan = pf::FaultPlan::parse("wire_drop@rank=0,step=0");
+  expect_lost_ring_frame_is_named(opts(plan));
+}
+
+TEST_P(WireChaos, CrcFailedRingFrameTimesOutNeverShiftsBlocks) {
+  const auto plan = pf::FaultPlan::parse("wire_corrupt@rank=0,step=0");
+  expect_lost_ring_frame_is_named(opts(plan));
 }
 
 TEST_P(WireChaos, DelayedFrameArrivesIntactAndReplaysByteIdentically) {
