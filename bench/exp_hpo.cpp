@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
       });
       std::string spread;
       for (std::size_t r = 0; r < stats.tasks_per_rank.size(); ++r) {
-        spread += (r ? "/" : "") + std::to_string(stats.tasks_per_rank[r]);
+        if (r != 0) spread += '/';
+        spread += std::to_string(stats.tasks_per_rank[r]);
       }
       table.row({static_cast<std::int64_t>(ranks), peachy::hpo::to_string(schedule), spread,
                  stats.imbalance_cv, stats.makespan_seconds * 1e3});

@@ -71,8 +71,11 @@
 #                 findings (the rules demonstrably fire), requires *zero*
 #                 findings over src/ + examples/ (the clean-tree gate),
 #                 and validates the peachy-lint/1 JSON document
+#   werror      — Release build of every target (library, tools, tests,
+#                 bench, examples) with -Werror: a new compiler warning
+#                 fails the build instead of scrolling past
 #
-# Usage: scripts/check.sh [config ...]     (default: all eleven)
+# Usage: scripts/check.sh [config ...]     (default: all twelve)
 
 set -euo pipefail
 
@@ -468,9 +471,20 @@ EOF
   echo "==== [lint-smoke] OK ===="
 }
 
+run_werror() {
+  local dir="$ROOT/build-check-werror"
+  echo "==== [werror] configure ===="
+  cmake -B "$dir" -S "$ROOT" \
+    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
+    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=ON
+  echo "==== [werror] build ===="
+  cmake --build "$dir" -j "$JOBS"
+  echo "==== [werror] OK ===="
+}
+
 configs=("$@")
 if [ "${#configs[@]}" -eq 0 ]; then
-  configs=(asan-ubsan tsan analysis bench-smoke bench-substrates-smoke obs-smoke faults-smoke lint-smoke transport-smoke transport-bench-smoke chaos-smoke)
+  configs=(asan-ubsan tsan analysis bench-smoke bench-substrates-smoke obs-smoke faults-smoke lint-smoke transport-smoke transport-bench-smoke chaos-smoke werror)
 fi
 
 for cfg in "${configs[@]}"; do
@@ -486,7 +500,8 @@ for cfg in "${configs[@]}"; do
     transport-smoke) run_transport_smoke ;;
     transport-bench-smoke) run_transport_bench_smoke ;;
     chaos-smoke) run_chaos_smoke ;;
-    *) echo "unknown config '$cfg' (expected: asan-ubsan, tsan, analysis, bench-smoke, bench-substrates-smoke, obs-smoke, faults-smoke, lint-smoke, transport-smoke, transport-bench-smoke, chaos-smoke)" >&2; exit 2 ;;
+    werror)      run_werror ;;
+    *) echo "unknown config '$cfg' (expected: asan-ubsan, tsan, analysis, bench-smoke, bench-substrates-smoke, obs-smoke, faults-smoke, lint-smoke, transport-smoke, transport-bench-smoke, chaos-smoke, werror)" >&2; exit 2 ;;
   esac
 done
 

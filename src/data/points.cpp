@@ -203,7 +203,11 @@ std::vector<CsvRow> to_csv(const LabeledPoints& data, bool header) {
   rows.reserve(data.size() + 1);
   if (header) {
     CsvRow h;
-    for (std::size_t j = 0; j < data.dims(); ++j) h.push_back("x" + std::to_string(j));
+    for (std::size_t j = 0; j < data.dims(); ++j) {
+      std::string name = "x";
+      name += std::to_string(j);
+      h.push_back(std::move(name));
+    }
     h.push_back("label");
     rows.push_back(std::move(h));
   }

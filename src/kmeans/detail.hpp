@@ -14,10 +14,15 @@ namespace peachy::kmeans::detail {
 /// Validate (points, opts) or throw peachy::Error.
 void validate(const data::PointSet& points, const Options& opts);
 
-/// Recompute centroids from per-cluster coordinate sums and counts;
-/// returns the maximum centroid displacement (Euclidean).  Empty clusters
-/// keep their previous centroid.
-double recompute_centroids(data::PointSet& centroids, std::span<const double> sums,
-                           std::span<const std::int64_t> counts);
+/// Close main-loop iteration `res.iterations` the same way in every
+/// implementation: record `changes`, move each centroid to the mean of
+/// its points (sums / counts; an empty cluster keeps its centroid), then
+/// apply the assignment's three thresholds in order — changed points <=
+/// min_changes, largest centroid move <= move_tolerance, max_iterations
+/// reached.  Returns true, with res.termination set, when the main loop
+/// must stop; the loop therefore never runs past max_iterations.
+bool end_iteration(const Options& opts, std::size_t changes, std::span<const double> sums,
+                   std::span<const std::int64_t> counts, data::PointSet& centroids,
+                   Result& res);
 
 }  // namespace peachy::kmeans::detail

@@ -32,11 +32,12 @@ void validate(const data::PointSet& points, const Options& opts) {
   PEACHY_CHECK(opts.move_tolerance >= 0.0, "kmeans: negative tolerance");
 }
 
-/// Recompute centroids from per-cluster sums/counts; returns the maximum
-/// centroid displacement.  Empty clusters keep their previous centroid
-/// (the assignment's starter-code behaviour).
-double recompute_centroids(data::PointSet& centroids, std::span<const double> sums,
-                           std::span<const std::int64_t> counts) {
+bool end_iteration(const Options& opts, std::size_t changes, std::span<const double> sums,
+                   std::span<const std::int64_t> counts, data::PointSet& centroids,
+                   Result& res) {
+  res.changes_per_iteration.push_back(changes);
+
+  // Phase 2: new centroid positions and the largest displacement.
   const std::size_t k = centroids.size();
   const std::size_t d = centroids.dims();
   double max_move2 = 0.0;
@@ -51,7 +52,18 @@ double recompute_centroids(data::PointSet& centroids, std::span<const double> su
     }
     max_move2 = std::max(max_move2, move2);
   }
-  return std::sqrt(max_move2);
+  const double max_move = std::sqrt(max_move2);
+
+  if (changes <= opts.min_changes) {
+    res.termination = Termination::kMinChanges;
+  } else if (max_move <= opts.move_tolerance) {
+    res.termination = Termination::kCentroidsConverged;
+  } else if (res.iterations >= opts.max_iterations) {
+    res.termination = Termination::kMaxIterations;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace detail
@@ -159,25 +171,8 @@ Result cluster_sequential(const data::PointSet& points, const Options& opts) {
     const std::size_t changes =
         kernels::argmin_assign(points.values().data(), n, d, panel.data(), k, panel.padded,
                                res.assignment.data(), sums.data(), counts.data());
-    res.changes_per_iteration.push_back(changes);
-
-    // Phase 2: new centroid positions.
-    const double max_move = detail::recompute_centroids(res.centroids, sums, counts);
-
-    if (changes <= opts.min_changes) {
-      res.termination = Termination::kMinChanges;
-      break;
-    }
-    if (max_move <= opts.move_tolerance) {
-      res.termination = Termination::kCentroidsConverged;
-      break;
-    }
-    if (res.iterations == opts.max_iterations) {
-      res.termination = Termination::kMaxIterations;
-      break;
-    }
+    if (detail::end_iteration(opts, changes, sums, counts, res.centroids, res)) break;
   }
-  res.iterations = std::min(res.iterations, opts.max_iterations);
   res.inertia = inertia(points, res.centroids, res.assignment);
   return res;
 }

@@ -106,13 +106,13 @@ Result cluster_mpi(mpi::Comm& comm, const data::PointSet& points, const Options&
     comm.allreduce_inplace<std::int64_t>(std::span<std::int64_t>{counts}, std::plus<>{});
     changes = comm.allreduce_value<std::uint64_t>(changes, std::plus<>{});
 
-    res.changes_per_iteration.push_back(static_cast<std::size_t>(changes));
-    const double max_move = detail::recompute_centroids(centroids, sums, counts);
+    const bool done = detail::end_iteration(opts, static_cast<std::size_t>(changes), sums,
+                                            counts, centroids, res);
 
-    // Iteration-boundary checkpoint.  The assignment is distributed, so
-    // the snapshot costs one extra allgather per checkpoint (that cost is
-    // what T-FLT-1 measures); every rank participates in the collective,
-    // rank 0 alone writes the blob.
+    // Iteration-boundary checkpoint, the terminating iteration included.
+    // The assignment is distributed, so the snapshot costs one extra
+    // allgather per checkpoint (that cost is what T-FLT-1 measures); every
+    // rank participates in the collective, rank 0 alone writes the blob.
     if (ft.active() && res.iterations % static_cast<std::size_t>(ft.every) == 0) {
       std::vector<std::int32_t> full_assign(shape.n);
       comm.allgather_into<std::int32_t>(res.assignment, std::span<std::int32_t>{full_assign});
@@ -126,19 +126,10 @@ Result cluster_mpi(mpi::Comm& comm, const data::PointSet& points, const Options&
       }
     }
 
-    if (changes <= opts.min_changes) {
-      res.termination = Termination::kMinChanges;
-      break;
-    }
-    if (max_move <= opts.move_tolerance) {
-      res.termination = Termination::kCentroidsConverged;
-      break;
-    }
-    if (res.iterations == opts.max_iterations) {
-      res.termination = Termination::kMaxIterations;
-      break;
-    }
+    if (done) break;
   }
+  // Only a restart from a snapshot of the final iteration starts past
+  // max_iterations; it runs no iteration and reports the last one.
   res.iterations = std::min(res.iterations, opts.max_iterations);
 
   // Collect the distributed results: assignments in rank order equal the

@@ -89,23 +89,8 @@ Result cluster_simt(const data::PointSet& points, const Options& opts, const Sim
     for (std::size_t i = 0; i < k * d; ++i) sums[i] = g_sums[i].load();
     for (std::size_t c = 0; c < k; ++c) counts[c] = g_counts[c].load();
 
-    res.changes_per_iteration.push_back(changes);
-    const double max_move = detail::recompute_centroids(res.centroids, sums, counts);
-
-    if (changes <= opts.min_changes) {
-      res.termination = Termination::kMinChanges;
-      break;
-    }
-    if (max_move <= opts.move_tolerance) {
-      res.termination = Termination::kCentroidsConverged;
-      break;
-    }
-    if (res.iterations == opts.max_iterations) {
-      res.termination = Termination::kMaxIterations;
-      break;
-    }
+    if (detail::end_iteration(opts, changes, sums, counts, res.centroids, res)) break;
   }
-  res.iterations = std::min(res.iterations, opts.max_iterations);
   res.inertia = inertia(points, res.centroids, res.assignment);
 
   if (stats != nullptr) {

@@ -104,7 +104,8 @@ std::string synthetic_corpus(std::size_t words, std::uint64_t seed) {
     const double u = rng::uniform01(gen) * acc;
     const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
     const auto k = static_cast<std::size_t>(it - cdf.begin());
-    text += "w" + std::to_string(k);
+    text += 'w';
+    text += std::to_string(k);
     text += (i % 12 == 11) ? '\n' : ' ';
   }
   return text;

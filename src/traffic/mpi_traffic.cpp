@@ -1,6 +1,5 @@
 #include "traffic/mpi_traffic.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "obs/obs.hpp"
@@ -50,11 +49,10 @@ State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficSt
   const auto p = static_cast<std::size_t>(comm.size());
   const auto me = static_cast<std::size_t>(comm.rank());
   const rng::SharedStream<rng::Lcg64> stream{spec.seed};
-  const auto L = static_cast<std::int64_t>(spec.road_length);
 
   // Per-step working buffers, hoisted so the step loop allocates nothing:
   // the block partition is identical every step, and the exchange lands in
-  // a second replicated position array that is swapped with st.pos.
+  // a second replicated position array that commit_step swaps with st.pos.
   const auto blk = support::static_block(n, p, me);
   std::vector<std::int64_t> my_pos(blk.end - blk.begin);
   std::vector<std::int64_t> next_pos(n);
@@ -78,44 +76,17 @@ State run_mpi(mpi::Comm& comm, const Spec& spec, std::size_t steps, MpiTrafficSt
   for (std::size_t s = first; s < steps; ++s) {
     if (blk.begin < blk.end) {
       auto gen = stream.cursor(static_cast<std::uint64_t>(s) * n + blk.begin);
-      for (std::size_t i = blk.begin; i < blk.end; ++i) {
-        const double draw = gen.next_double();
-        int v = std::min(st.vel[i] + 1, spec.v_max);
-        v = static_cast<int>(std::min<std::int64_t>(v, gap_ahead(spec, st, i)));
-        if (draw < spec.p_slow && v > 0) --v;
-        std::int64_t pos = st.pos[i] + v;
-        if (pos >= L) pos -= L;
-        my_pos[i - blk.begin] = pos;
-      }
+      advance_block(spec, st, blk.begin, blk.end, gen, my_pos);
     }
 
     // Exchange: rebuild the replicated positions (ring allgather keeps
     // rank order, which is canonical-index order); allgather_into's layout
     // checks are the "exchange lost cars" guard.  Velocities need no
-    // exchange: a car's new velocity is its displacement this step, and
-    // 0 <= v <= min(v_max, gap) <= L-1 makes the displacement mod L exact.
+    // exchange: commit_step derives them from the displacements, and it
+    // runs identically on every rank (pure local computation on identical
+    // replicated data -> identical state everywhere).
     comm.allgather_into<std::int64_t>(my_pos, std::span<std::int64_t>{next_pos});
-    for (std::size_t i = 0; i < n; ++i) {
-      std::int64_t d = next_pos[i] - st.pos[i];
-      if (d < 0) d += L;
-      PEACHY_CHECK(d >= 0 && d <= spec.v_max,
-                   "traffic exchange: car " + std::to_string(i) + " moved " + std::to_string(d) +
-                       " cells in step " + std::to_string(s) + " (v_max " +
-                       std::to_string(spec.v_max) + ")");
-      st.vel[i] = static_cast<int>(d);
-    }
-    st.pos.swap(next_pos);
-
-    // Canonicalize identically on every rank (pure local computation on
-    // identical replicated data -> identical result everywhere).
-    if (n > 1) {
-      const auto min_it = std::min_element(st.pos.begin(), st.pos.end());
-      const auto k = min_it - st.pos.begin();
-      if (k != 0) {
-        std::rotate(st.pos.begin(), st.pos.begin() + k, st.pos.end());
-        std::rotate(st.vel.begin(), st.vel.begin() + k, st.vel.end());
-      }
-    }
+    commit_step(spec, st, next_pos, s);
 
     // Iteration-boundary checkpoint: state is replicated and identical on
     // every rank, so only rank 0 writes (checkpoint.hpp's discipline).

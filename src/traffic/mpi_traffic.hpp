@@ -6,17 +6,17 @@
 ///
 /// The classic first distributed solution: state is replicated (every
 /// rank holds the full position/velocity arrays from the previous step's
-/// exchange), *computation* is distributed — each rank updates only its
-/// static block of canonical car indices, fast-forwarding the shared LCG
-/// stream to its block's first draw (the same reproducibility discipline
-/// as the shared-memory version).  One ring allgather of positions then
-/// rebuilds the replicated state for the next step; velocities are not
-/// exchanged, because a car's new velocity is its displacement that step
-/// (a displacement outside [0, v_max] is a named error, never a silently
-/// wrong state).  Compute is Θ(N/P) per rank per
-/// step; communication is Θ(N) per step — the trade-off students are
-/// asked to discover and discuss (and the stepping stone to a halo-only
-/// design).
+/// exchange), *computation* is distributed — each rank runs advance_block
+/// over only its static block of canonical car indices, fast-forwarding
+/// the shared LCG stream to its block's first draw (the same step core and
+/// reproducibility discipline as the shared-memory version).  One ring
+/// allgather of positions then fills the replicated next-position array,
+/// and every rank runs commit_step on it; velocities are not exchanged,
+/// because commit_step derives a car's new velocity from its displacement
+/// that step (a displacement outside [0, v_max] is a named error, never a
+/// silently wrong state).  Compute is Θ(N/P) per rank per step;
+/// communication is Θ(N) per step — the trade-off students are asked to
+/// discover and discuss (and the stepping stone to a halo-only design).
 ///
 /// Output is bit-identical to run_serial for ANY rank count.
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "rng/distributions.hpp"
 #include "rng/splitmix.hpp"
@@ -21,23 +22,15 @@ void validate(const Spec& spec) {
   PEACHY_CHECK(spec.p_slow >= 0.0 && spec.p_slow <= 1.0, "traffic: p outside [0,1]");
 }
 
-/// New velocity of car i given the gap ahead and its random draw.
-int nasch_velocity(const Spec& spec, int v, std::int64_t gap, double draw) {
-  v = std::min(v + 1, spec.v_max);                          // 1. accelerate
-  v = static_cast<int>(std::min<std::int64_t>(v, gap));     // 2. brake to the gap
-  if (draw < spec.p_slow && v > 0) --v;                     // 3. random slowdown
-  return v;
-}
-
-/// Rotate the (rotation-of-sorted) position array so index order equals
-/// ascending-position order again, carrying velocities along.
-void canonicalize(State& state) {
-  if (state.pos.size() < 2) return;
-  const auto min_it = std::min_element(state.pos.begin(), state.pos.end());
-  if (min_it == state.pos.begin()) return;
-  const auto k = min_it - state.pos.begin();
-  std::rotate(state.pos.begin(), state.pos.begin() + k, state.pos.end());
-  std::rotate(state.vel.begin(), state.vel.begin() + k, state.vel.end());
+/// Empty cells in front of car i — the one gap formula.  Unchecked: the
+/// callers guarantee i < state.pos.size().
+std::int64_t gap_of(const Spec& spec, const State& state, std::size_t i) {
+  const std::size_t n = state.pos.size();
+  if (n == 1) return static_cast<std::int64_t>(spec.road_length) - 1;
+  const std::size_t ahead = (i + 1) % n;
+  std::int64_t gap = state.pos[ahead] - state.pos[i] - 1;
+  if (ahead == 0) gap += static_cast<std::int64_t>(spec.road_length);
+  return gap;
 }
 
 }  // namespace
@@ -64,35 +57,61 @@ State initial_state(const Spec& spec) {
 
 std::int64_t gap_ahead(const Spec& spec, const State& state, std::size_t i) {
   PEACHY_CHECK(i < state.pos.size(), "traffic: car index out of range");
+  return gap_of(spec, state, i);
+}
+
+void advance_block(const Spec& spec, const State& state, std::size_t lo, std::size_t hi,
+                   rng::Lcg64& gen, std::span<std::int64_t> out) {
+  PEACHY_CHECK(lo <= hi && hi <= state.pos.size() && out.size() == hi - lo,
+               "traffic: advance_block range does not match its output");
+  const auto L = static_cast<std::int64_t>(spec.road_length);
+  for (std::size_t i = lo; i < hi; ++i) {
+    const double draw = gen.next_double();  // exactly one draw per car
+    int v = std::min(state.vel[i] + 1, spec.v_max);                          // 1. accelerate
+    v = static_cast<int>(std::min<std::int64_t>(v, gap_of(spec, state, i)));  // 2. brake to the gap
+    if (draw < spec.p_slow && v > 0) --v;                                    // 3. random slowdown
+    std::int64_t pos = state.pos[i] + v;                                     // 4. advance
+    if (pos >= L) pos -= L;
+    out[i - lo] = pos;
+  }
+}
+
+void commit_step(const Spec& spec, State& state, std::vector<std::int64_t>& next_pos,
+                 std::size_t step) {
   const std::size_t n = state.pos.size();
-  if (n == 1) return static_cast<std::int64_t>(spec.road_length) - 1;
-  const std::size_t ahead = (i + 1) % n;
-  std::int64_t gap = state.pos[ahead] - state.pos[i] - 1;
-  if (ahead == 0) gap += static_cast<std::int64_t>(spec.road_length);
-  return gap;
+  PEACHY_CHECK(next_pos.size() == n, "traffic: next positions do not match the car count");
+  // A car's new velocity is its displacement this step, and
+  // 0 <= v <= min(v_max, gap) <= L-1 makes the displacement mod L exact.
+  const auto L = static_cast<std::int64_t>(spec.road_length);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int64_t d = next_pos[i] - state.pos[i];
+    if (d < 0) d += L;
+    PEACHY_CHECK(d >= 0 && d <= spec.v_max,
+                 "traffic exchange: car " + std::to_string(i) + " moved " + std::to_string(d) +
+                     " cells in step " + std::to_string(step) + " (v_max " +
+                     std::to_string(spec.v_max) + ")");
+    state.vel[i] = static_cast<int>(d);
+  }
+  state.pos.swap(next_pos);
+  // Keep car 0 the minimum position so the index order always equals the
+  // ascending-position order.  Cars cannot overtake, so after a step the
+  // array is a rotation of a sorted array (only the last car can wrap:
+  // every other car brakes to a gap that ends before the car ahead);
+  // rotate the unique minimum back to the front.
+  if (n < 2) return;
+  const auto k = std::min_element(state.pos.begin(), state.pos.end()) - state.pos.begin();
+  if (k == 0) return;
+  std::rotate(state.pos.begin(), state.pos.begin() + k, state.pos.end());
+  std::rotate(state.vel.begin(), state.vel.begin() + k, state.vel.end());
 }
 
 void step_reference(const Spec& spec, State& state, const rng::SharedStream<rng::Lcg64>& stream,
                     std::size_t step) {
   const std::size_t n = state.pos.size();
   auto gen = stream.cursor(static_cast<std::uint64_t>(step) * n);
-  std::vector<int> new_vel(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double draw = gen.next_double();  // exactly one draw per car
-    new_vel[i] = nasch_velocity(spec, state.vel[i], gap_ahead(spec, state, i), draw);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    state.vel[i] = new_vel[i];
-    state.pos[i] += new_vel[i];
-    if (state.pos[i] >= static_cast<std::int64_t>(spec.road_length)) {
-      state.pos[i] -= static_cast<std::int64_t>(spec.road_length);
-    }
-  }
-  // Keep car 0 the minimum position so the index order always equals the
-  // ascending-position order.  Cars cannot overtake, so after a step the
-  // array is a rotation of a sorted array (several tail cars may wrap in
-  // one step); rotate the unique minimum back to the front.
-  canonicalize(state);
+  std::vector<std::int64_t> next_pos(n);
+  advance_block(spec, state, 0, n, gen, next_pos);
+  commit_step(spec, state, next_pos, step);
 }
 
 State run_serial(const Spec& spec, std::size_t steps, std::vector<State>* snapshots) {
@@ -114,33 +133,18 @@ State run_parallel(const Spec& spec, std::size_t steps, support::ThreadPool& poo
   State st = initial_state(spec);
   const rng::SharedStream<rng::Lcg64> stream{spec.seed};
   const std::size_t n = st.pos.size();
-  std::vector<int> new_vel(n);
+  std::vector<std::int64_t> next_pos(n);
 
   for (std::size_t s = 0; s < steps; ++s) {
-    // Phase A (parallel, read-only on state): each thread owns a car
-    // block, fast-forwards the shared stream to its first draw, and
-    // computes new velocities.
+    // Each thread owns a car block, fast-forwards the shared stream to
+    // its first draw, and fills its slice of next_pos (read-only on st).
     support::parallel_for_threads(
         pool, n, threads, [&](std::size_t, std::size_t lo, std::size_t hi) {
           if (lo >= hi) return;
           auto gen = stream.cursor(static_cast<std::uint64_t>(s) * n + lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            const double draw = gen.next_double();
-            new_vel[i] = nasch_velocity(spec, st.vel[i], gap_ahead(spec, st, i), draw);
-          }
+          advance_block(spec, st, lo, hi, gen, std::span{next_pos}.subspan(lo, hi - lo));
         });
-    // Phase B (parallel, disjoint writes): move.
-    support::parallel_for_threads(
-        pool, n, threads, [&](std::size_t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            st.vel[i] = new_vel[i];
-            st.pos[i] += new_vel[i];
-            if (st.pos[i] >= static_cast<std::int64_t>(spec.road_length)) {
-              st.pos[i] -= static_cast<std::int64_t>(spec.road_length);
-            }
-          }
-        });
-    canonicalize(st);
+    commit_step(spec, st, next_pos, s);
     if (snapshots != nullptr) snapshots->push_back(st);
   }
 
@@ -157,7 +161,7 @@ State run_parallel_independent_rngs(const Spec& spec, std::size_t steps,
   PEACHY_CHECK(threads >= 1, "traffic: threads must be at least 1");
   State st = initial_state(spec);
   const std::size_t n = st.pos.size();
-  std::vector<int> new_vel(n);
+  std::vector<std::int64_t> next_pos(n);
   // One private generator per thread, seeded differently — the tempting
   // shortcut whose output depends on the thread count.
   std::vector<rng::Lcg64> gens;
@@ -169,19 +173,9 @@ State run_parallel_independent_rngs(const Spec& spec, std::size_t steps,
   for (std::size_t s = 0; s < steps; ++s) {
     support::parallel_for_threads(
         pool, n, threads, [&](std::size_t t, std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const double draw = gens[t].next_double();
-            new_vel[i] = nasch_velocity(spec, st.vel[i], gap_ahead(spec, st, i), draw);
-          }
+          advance_block(spec, st, lo, hi, gens[t], std::span{next_pos}.subspan(lo, hi - lo));
         });
-    for (std::size_t i = 0; i < n; ++i) {
-      st.vel[i] = new_vel[i];
-      st.pos[i] += new_vel[i];
-      if (st.pos[i] >= static_cast<std::int64_t>(spec.road_length)) {
-        st.pos[i] -= static_cast<std::int64_t>(spec.road_length);
-      }
-    }
-    canonicalize(st);
+    commit_step(spec, st, next_pos, s);
   }
   return st;
 }

@@ -19,9 +19,16 @@
 /// Both representations from the paper are provided: the agent-based one
 /// (positions+velocities of N cars — "significantly simplifies the
 /// parallelization of PRNG") in this header, and the grid one in
-/// grid.hpp.
+/// grid.hpp.  Every agent driver (step_reference, run_parallel,
+/// run_parallel_independent_rngs, run_mpi) runs one step core:
+/// advance_block fills the next positions of a block of cars, and
+/// commit_step turns the filled array into the next state.  The drivers
+/// differ only in how the blocks and their generators are laid out.  The
+/// grid representation shares none of it (only initial_state), so it is
+/// the independent check on the step core.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "rng/lcg.hpp"
@@ -61,9 +68,27 @@ struct State {
 /// Gap (empty cells) in front of car i in the current state.
 [[nodiscard]] std::int64_t gap_ahead(const Spec& spec, const State& state, std::size_t i);
 
+/// The step core, first half: write the next positions of cars [lo, hi)
+/// to `out` (out[i - lo] for car i; out.size() must be hi - lo).  Draws
+/// exactly one value from `gen` per car, in car order, and applies
+/// accelerate → brake to the gap → random slowdown → advance.  Reads
+/// `state` only, so disjoint blocks may run concurrently.
+void advance_block(const Spec& spec, const State& state, std::size_t lo, std::size_t hi,
+                   rng::Lcg64& gen, std::span<std::int64_t> out);
+
+/// The step core, second half: `next_pos` holds every car's position
+/// after step `step` (index-aligned with `state`).  Derives each velocity
+/// as the car's displacement mod road_length — a displacement outside
+/// [0, v_max] is a named "traffic exchange" error, never a silently wrong
+/// state — swaps `next_pos` into `state` (it comes back holding the old
+/// positions, ready to be refilled) and rotates the arrays so index order
+/// is ascending-position order again.
+void commit_step(const Spec& spec, State& state, std::vector<std::int64_t>& next_pos,
+                 std::size_t step);
+
 /// Advance `state` by one synchronous step, drawing car draws from
-/// `stream` positions [step·N, (step+1)·N).  Shared by every
-/// implementation; exposed for tests.
+/// `stream` positions [step·N, (step+1)·N): one advance_block over every
+/// car, then commit_step.  The serial reference; exposed for tests.
 void step_reference(const Spec& spec, State& state, const rng::SharedStream<rng::Lcg64>& stream,
                     std::size_t step);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <numeric>
 #include <set>
@@ -318,3 +319,110 @@ TEST(KmeansSimt, ValidatesConfig) {
   cfg.block_size = 0;
   EXPECT_THROW((void)km::cluster_simt(points, default_opts(2), cfg, pool), peachy::Error);
 }
+
+// ---- one stopping rule, every driver ------------------------------------------------
+//
+// All implementations close an iteration through the same stopping rule.
+// For each of the three thresholds, every driver must stop where the
+// sequential run stops, for the same reason, with the same history.
+
+namespace {
+
+struct StopCase {
+  const char* name;
+  km::Termination termination;
+  std::size_t max_iterations;
+  std::size_t min_changes;
+  double move_tolerance;
+};
+
+constexpr StopCase kStopCases[] = {
+    {"MinChanges", km::Termination::kMinChanges, 100, 3, 0.0},
+    {"CentroidsConverged", km::Termination::kCentroidsConverged, 100, 0, 0.05},
+    {"MaxIterations", km::Termination::kMaxIterations, 3, 0, 0.0},
+};
+
+using Driver = std::function<km::Result(const pd::PointSet&, const km::Options&)>;
+
+struct NamedDriver {
+  const char* name;
+  Driver run;
+};
+
+km::Result run_variant(km::Variant v, const pd::PointSet& points, const km::Options& opts) {
+  peachy::support::ThreadPool pool{3};
+  return km::cluster_parallel(points, opts, v, pool, 3);
+}
+
+km::Result run_mpi_driver(int ranks, const pd::PointSet& points, const km::Options& opts) {
+  std::vector<km::Result> got(static_cast<std::size_t>(ranks));
+  pm::run(ranks, [&](pm::Comm& comm) {
+    got[static_cast<std::size_t>(comm.rank())] =
+        km::cluster_mpi(comm, comm.rank() == 0 ? points : pd::PointSet{}, opts);
+  });
+  for (const auto& r : got) {
+    EXPECT_EQ(r.iterations, got[0].iterations);
+    EXPECT_EQ(r.termination, got[0].termination);
+    EXPECT_EQ(r.changes_per_iteration, got[0].changes_per_iteration);
+  }
+  return got[0];
+}
+
+km::Result run_simt_driver(km::SimtReduce reduce, const pd::PointSet& points,
+                           const km::Options& opts) {
+  peachy::support::ThreadPool pool{3};
+  km::SimtConfig cfg;
+  cfg.reduce = reduce;
+  cfg.block_size = 32;
+  return km::cluster_simt(points, opts, cfg, pool);
+}
+
+const NamedDriver kDrivers[] = {
+    {"Sequential", km::cluster_sequential},
+    {"Critical", [](auto& p, auto& o) { return run_variant(km::Variant::kCritical, p, o); }},
+    {"Atomic", [](auto& p, auto& o) { return run_variant(km::Variant::kAtomic, p, o); }},
+    {"Reduction", [](auto& p, auto& o) { return run_variant(km::Variant::kReduction, p, o); }},
+    {"ReductionPadded",
+     [](auto& p, auto& o) { return run_variant(km::Variant::kReductionPadded, p, o); }},
+    {"MpiP1", [](auto& p, auto& o) { return run_mpi_driver(1, p, o); }},
+    {"MpiP3", [](auto& p, auto& o) { return run_mpi_driver(3, p, o); }},
+    {"SimtGlobalAtomic",
+     [](auto& p, auto& o) { return run_simt_driver(km::SimtReduce::kGlobalAtomic, p, o); }},
+    {"SimtBlockShared",
+     [](auto& p, auto& o) { return run_simt_driver(km::SimtReduce::kBlockShared, p, o); }},
+};
+
+}  // namespace
+
+class KmeansStoppingRule
+    : public ::testing::TestWithParam<std::tuple<StopCase, NamedDriver>> {};
+
+TEST_P(KmeansStoppingRule, EveryDriverStopsWhereSequentialStops) {
+  const auto& [c, driver] = GetParam();
+  // Sequentially: changes 280 20 18 11 8 3 1 2 1 0, largest moves 3.3 1.6
+  // 0.73 0.48 0.30 0.10 0.035 …, so each threshold below fires mid-run.
+  const auto points = blobs(70, 4, 3, 1.5, 23);
+  km::Options opts = default_opts(4);
+  opts.max_iterations = c.max_iterations;
+  opts.min_changes = c.min_changes;
+  opts.move_tolerance = c.move_tolerance;
+
+  const auto expect = km::cluster_sequential(points, opts);
+  // The case must stop on its own threshold, after more than one iteration.
+  ASSERT_EQ(expect.termination, c.termination) << c.name;
+  ASSERT_GT(expect.iterations, 1u) << c.name;
+
+  const auto got = driver.run(points, opts);
+  EXPECT_EQ(got.termination, expect.termination) << c.name << " " << driver.name;
+  EXPECT_EQ(got.iterations, expect.iterations) << c.name << " " << driver.name;
+  EXPECT_EQ(got.changes_per_iteration, expect.changes_per_iteration)
+      << c.name << " " << driver.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Drivers, KmeansStoppingRule,
+    ::testing::Combine(::testing::ValuesIn(kStopCases), ::testing::ValuesIn(kDrivers)),
+    [](const ::testing::TestParamInfo<KmeansStoppingRule::ParamType>& param_info) {
+      return std::string{std::get<0>(param_info.param).name} + "_" +
+             std::get<1>(param_info.param).name;
+    });

@@ -431,3 +431,123 @@ TEST(TrafficMpiRestore, RejectsAnImpossibleSnapshotByName) {
     }
   }
 }
+
+// ---- the step core against the grid oracle -------------------------------------
+//
+// Every agent driver runs the same advance_block + commit_step, so
+// comparing them with run_serial cannot catch a fault in that core.
+// run_grid shares only initial_state with them: it finds gaps by scanning
+// cells and returns a freshly sorted state.  These tiny roads put both
+// cases of the rotation back to ascending order on the table — steps where
+// no car wraps and steps where one does — plus v_max above the road
+// length, a full road, and empty thread/rank blocks.  Several cars never
+// wrap in one step: every car but the last brakes to a gap that ends
+// before the car ahead, so only the last car can pass the end of the road.
+
+namespace {
+
+struct OracleCase {
+  const char* name;
+  std::size_t road_length;
+  std::size_t cars;
+  int v_max;
+  double p_slow;
+};
+
+constexpr OracleCase kOracleCases[] = {
+    {"OneCarVmaxAboveRoad", 7, 1, 10, 0.13},
+    {"OneCarNeverSlow", 9, 1, 3, 0.0},
+    {"TwoCarsVmaxAboveRoad", 5, 2, 9, 0.13},
+    {"TwoCarsNeverSlow", 11, 2, 5, 0.0},
+    {"ThreeCars", 10, 3, 5, 0.13},
+    {"ThreeCarsNeverSlow", 8, 3, 5, 0.0},
+    {"ThreeCarsVmaxAboveRoad", 6, 3, 8, 0.13},
+    {"FullRoad", 6, 6, 5, 0.13},
+};
+
+constexpr std::size_t kOracleSteps = 40;
+
+tr::Spec oracle_spec(const OracleCase& c) {
+  tr::Spec spec;
+  spec.road_length = c.road_length;
+  spec.cars = c.cars;
+  spec.v_max = c.v_max;
+  spec.p_slow = c.p_slow;
+  spec.seed = 777;
+  return spec;
+}
+
+/// Cars that crossed the end of the road between two grid states: the
+/// position sum grows by the step's velocities and drops by L per wrap.
+std::int64_t wraps_between(const tr::Spec& spec, const tr::State& before,
+                           const tr::State& after) {
+  std::int64_t moved = 0;
+  for (std::size_t i = 0; i < after.pos.size(); ++i) {
+    moved += before.pos[i] + after.vel[i] - after.pos[i];
+  }
+  return moved / static_cast<std::int64_t>(spec.road_length);
+}
+
+}  // namespace
+
+class TrafficGridOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(TrafficGridOracle, EveryDriverMatchesTheGridAfterEveryStep) {
+  const auto& c = GetParam();
+  const tr::Spec spec = oracle_spec(c);
+
+  std::vector<tr::State> grid{tr::initial_state(spec)};
+  for (std::size_t s = 1; s <= kOracleSteps; ++s) grid.push_back(tr::run_grid(spec, s));
+
+  std::vector<tr::State> serial;
+  (void)tr::run_serial(spec, kOracleSteps, &serial);
+  ASSERT_EQ(serial.size(), kOracleSteps);
+  for (std::size_t s = 1; s <= kOracleSteps; ++s) {
+    ASSERT_EQ(serial[s - 1], grid[s]) << c.name << ": run_serial after " << s << " steps";
+  }
+
+  peachy::support::ThreadPool pool{3};
+  for (std::size_t threads = 1; threads <= 3; ++threads) {
+    std::vector<tr::State> parallel;
+    (void)tr::run_parallel(spec, kOracleSteps, pool, threads, nullptr, &parallel);
+    for (std::size_t s = 1; s <= kOracleSteps; ++s) {
+      ASSERT_EQ(parallel[s - 1], grid[s])
+          << c.name << ": run_parallel threads=" << threads << " after " << s << " steps";
+    }
+  }
+
+  for (int ranks = 1; ranks <= 4; ++ranks) {
+    std::vector<std::vector<tr::State>> got(static_cast<std::size_t>(ranks));
+    peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
+      auto& mine = got[static_cast<std::size_t>(comm.rank())];
+      for (std::size_t s = 1; s <= kOracleSteps; ++s) mine.push_back(tr::run_mpi(comm, spec, s));
+    });
+    for (int r = 0; r < ranks; ++r) {
+      for (std::size_t s = 1; s <= kOracleSteps; ++s) {
+        ASSERT_EQ(got[static_cast<std::size_t>(r)][s - 1], grid[s])
+            << c.name << ": run_mpi p=" << ranks << " rank " << r << " after " << s
+            << " steps";
+      }
+    }
+  }
+
+}
+
+INSTANTIATE_TEST_SUITE_P(Roads, TrafficGridOracle, ::testing::ValuesIn(kOracleCases),
+                         [](const ::testing::TestParamInfo<OracleCase>& param_info) {
+                           return std::string{param_info.param.name};
+                         });
+
+TEST(TrafficGridOracleCases, CoverStepsWithAndWithoutAWrap) {
+  std::set<std::int64_t> wraps;
+  for (const auto& c : kOracleCases) {
+    const tr::Spec spec = oracle_spec(c);
+    tr::State before = tr::initial_state(spec);
+    for (std::size_t s = 1; s <= kOracleSteps; ++s) {
+      tr::State after = tr::run_grid(spec, s);
+      wraps.insert(wraps_between(spec, before, after));
+      before = std::move(after);
+    }
+  }
+  EXPECT_EQ(wraps, (std::set<std::int64_t>{0, 1}));
+}
