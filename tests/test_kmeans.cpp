@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <ostream>
 #include <set>
 
 #include "data/points.hpp"
@@ -391,6 +392,12 @@ const NamedDriver kDrivers[] = {
     {"SimtBlockShared",
      [](auto& p, auto& o) { return run_simt_driver(km::SimtReduce::kBlockShared, p, o); }},
 };
+
+// gtest prints each parameter into the test's listed name.  Left to itself
+// it dumps the struct's bytes, and the bytes of `name` are an address that
+// moves with every build and every run, so print the names instead.
+void PrintTo(const StopCase& c, std::ostream* os) { *os << c.name; }
+void PrintTo(const NamedDriver& d, std::ostream* os) { *os << d.name; }
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
@@ -327,6 +328,11 @@ constexpr DerivationCase kDerivationCases[] = {
     {"ThreeCars", 20, 3, 5, 0.13},  // p = 4 and 8 leave blocks empty
 };
 
+// gtest prints each parameter into the test's listed name.  Left to itself
+// it dumps the struct's bytes, and the bytes of `name` are an address that
+// moves with every build and every run, so print the case name instead.
+void PrintTo(const DerivationCase& c, std::ostream* os) { *os << c.name; }
+
 tr::Spec derivation_spec(const DerivationCase& c) {
   tr::Spec spec;
   spec.road_length = c.road_length;
@@ -464,6 +470,9 @@ constexpr OracleCase kOracleCases[] = {
     {"ThreeCarsVmaxAboveRoad", 6, 3, 8, 0.13},
     {"FullRoad", 6, 6, 5, 0.13},
 };
+
+// As for DerivationCase: a listed name must not carry an address.
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
 
 constexpr std::size_t kOracleSteps = 40;
 
