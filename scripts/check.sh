@@ -82,15 +82,22 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# configure <dir> <build-type> <bench> <tests> <examples> [extra cmake args...]
+# — one build tree; <bench>/<tests>/<examples> are ON or OFF.
+configure() {
+  local dir="$1" type="$2" bench="$3" tests="$4" examples="$5"
+  shift 5
+  cmake -B "$dir" -S "$ROOT" -DCMAKE_BUILD_TYPE="$type" \
+    -DPEACHY_BUILD_BENCH="$bench" -DPEACHY_BUILD_TESTS="$tests" \
+    -DPEACHY_BUILD_EXAMPLES="$examples" "$@"
+}
+
 run_config() {
   local name="$1"
   shift
   local dir="$ROOT/build-check-$name"
   echo "==== [$name] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DPEACHY_BUILD_BENCH=OFF -DPEACHY_BUILD_EXAMPLES=OFF \
-    "$@"
+  configure "$dir" RelWithDebInfo OFF ON OFF "$@"
   echo "==== [$name] build ===="
   cmake --build "$dir" -j "$JOBS"
   echo "==== [$name] test ===="
@@ -154,9 +161,7 @@ gate_bench_transport() {
 run_bench_smoke() {
   local dir="$ROOT/build-check-bench-smoke"
   echo "==== [bench-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
+  configure "$dir" Release ON OFF OFF
   echo "==== [bench-smoke] build ===="
   cmake --build "$dir" --target bench_kernels -j "$JOBS"
   echo "==== [bench-smoke] run ===="
@@ -170,9 +175,7 @@ run_bench_smoke() {
 run_bench_substrates_smoke() {
   local dir="$ROOT/build-check-bench-smoke"
   echo "==== [bench-substrates-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
+  configure "$dir" Release ON OFF OFF
   echo "==== [bench-substrates-smoke] build ===="
   cmake --build "$dir" --target bench_substrates -j "$JOBS"
   echo "==== [bench-substrates-smoke] run (tiny) ===="
@@ -195,9 +198,7 @@ assert any(n.startswith("mr_shuffle") for n in names), names'
 run_obs_smoke() {
   local dir="$ROOT/build-check-obs-smoke"
   echo "==== [obs-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=ON
+  configure "$dir" Release ON OFF ON
   echo "==== [obs-smoke] build ===="
   cmake --build "$dir" --target kmeans_cluster bench_kernels -j "$JOBS"
   echo "==== [obs-smoke] trace run ===="
@@ -244,9 +245,7 @@ EOF
 run_faults_smoke() {
   local dir="$ROOT/build-check-faults-smoke"
   echo "==== [faults-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=ON
+  configure "$dir" Release ON ON ON
   echo "==== [faults-smoke] build ===="
   cmake --build "$dir" --target test_faults fault_demo bench_kernels -j "$JOBS"
   echo "==== [faults-smoke] fault-injection test matrix ===="
@@ -279,9 +278,7 @@ run_transport_smoke() {
   # same serial reference the in-process run is held to.
   local dir="$ROOT/build-check-transport-smoke"
   echo "==== [transport-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=OFF -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=ON
+  configure "$dir" Release OFF ON ON
   echo "==== [transport-smoke] build ===="
   cmake --build "$dir" --target test_transport test_transport_stress test_mpi test_faults \
     fault_demo peachy-launch -j "$JOBS"
@@ -297,9 +294,7 @@ run_transport_smoke() {
   done
   echo "==== [transport-smoke] conformance suite under ASan ===="
   local asan="$ROOT/build-check-transport-asan"
-  cmake -B "$asan" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPEACHY_SANITIZE=ON \
-    -DPEACHY_BUILD_BENCH=OFF -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=OFF
+  configure "$asan" RelWithDebInfo OFF ON OFF -DPEACHY_SANITIZE=ON
   cmake --build "$asan" --target test_transport test_transport_stress -j "$JOBS"
   "$asan/tests/test_transport"
   "$asan/tests/test_transport_stress"
@@ -339,9 +334,7 @@ for row in doc["benchmarks"]:
     if row["name"].startswith("bw_"):
         assert row.get("mb_s", 0) > 0, row'
   echo "==== [transport-bench-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
+  configure "$dir" Release ON OFF OFF
   echo "==== [transport-bench-smoke] build ===="
   cmake --build "$dir" --target bench_transport -j "$JOBS"
   echo "==== [transport-bench-smoke] tiny sweep on all three backends ===="
@@ -383,18 +376,14 @@ run_chaos_smoke() {
   local dir="$ROOT/build-check-transport-smoke"
   local plan='seed=11; wire_delay@prob=0.05,ns=200000'
   echo "==== [chaos-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=OFF -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=ON
+  configure "$dir" Release OFF ON ON
   echo "==== [chaos-smoke] build ===="
   cmake --build "$dir" --target test_transport fault_demo peachy-launch -j "$JOBS"
   echo "==== [chaos-smoke] conformance under a seeded wire plan ===="
   PEACHY_FAULTS="$plan" "$dir/tests/test_transport"
   echo "==== [chaos-smoke] conformance under the plan, ASan ===="
   local asan="$ROOT/build-check-transport-asan"
-  cmake -B "$asan" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPEACHY_SANITIZE=ON \
-    -DPEACHY_BUILD_BENCH=OFF -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=OFF
+  configure "$asan" RelWithDebInfo OFF ON OFF -DPEACHY_SANITIZE=ON
   cmake --build "$asan" --target test_transport -j "$JOBS"
   PEACHY_FAULTS="$plan" "$asan/tests/test_transport"
   echo "==== [chaos-smoke] chaos survival + durable restore (shm + socket) ===="
@@ -431,9 +420,7 @@ run_chaos_smoke() {
   done
   echo "==== [chaos-smoke] injection-disabled CRC+heartbeat overhead gate ===="
   local bdir="$ROOT/build-check-bench-smoke"
-  cmake -B "$bdir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=OFF -DPEACHY_BUILD_EXAMPLES=OFF
+  configure "$bdir" Release ON OFF OFF
   cmake --build "$bdir" --target bench_transport -j "$JOBS"
   gate_bench_transport "$bdir" BENCH_transport_chaos
   echo "==== [chaos-smoke] OK ===="
@@ -442,9 +429,7 @@ run_chaos_smoke() {
 run_lint_smoke() {
   local dir="$ROOT/build-check-lint-smoke"
   echo "==== [lint-smoke] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release \
-    -DPEACHY_BUILD_BENCH=OFF -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=OFF
+  configure "$dir" Release OFF ON OFF
   echo "==== [lint-smoke] build ===="
   cmake --build "$dir" --target peachy-lint test_lint -j "$JOBS"
   echo "==== [lint-smoke] rule-engine tests ===="
@@ -474,9 +459,7 @@ EOF
 run_werror() {
   local dir="$ROOT/build-check-werror"
   echo "==== [werror] configure ===="
-  cmake -B "$dir" -S "$ROOT" \
-    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror \
-    -DPEACHY_BUILD_BENCH=ON -DPEACHY_BUILD_TESTS=ON -DPEACHY_BUILD_EXAMPLES=ON
+  configure "$dir" Release ON ON ON -DCMAKE_CXX_FLAGS=-Werror
   echo "==== [werror] build ===="
   cmake --build "$dir" -j "$JOBS"
   echo "==== [werror] OK ===="

@@ -73,7 +73,8 @@
 ///                   flipped *after* the CRC seal, so the receiver's
 ///                   integrity check must catch it;
 ///   wire_truncate — only a prefix reaches the wire (socket: short write
-///                   desyncs the stream; shm: the tail is zeroed).
+///                   desyncs the stream; shm: the tail is zeroed), or
+///                   the CRC is flipped, for empty payloads.
 ///
 /// Note on `frame=ping`: heartbeat frames are emitted by the pump on a
 /// timer, so their step counters are timing-dependent — injecting on them

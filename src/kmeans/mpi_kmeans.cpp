@@ -109,11 +109,13 @@ Result cluster_mpi(mpi::Comm& comm, const data::PointSet& points, const Options&
     const bool done = detail::end_iteration(opts, static_cast<std::size_t>(changes), sums,
                                             counts, centroids, res);
 
-    // Iteration-boundary checkpoint, the terminating iteration included.
-    // The assignment is distributed, so the snapshot costs one extra
-    // allgather per checkpoint (that cost is what T-FLT-1 measures); every
-    // rank participates in the collective, rank 0 alone writes the blob.
-    if (ft.active() && res.iterations % static_cast<std::size_t>(ft.every) == 0) {
+    // Iteration-boundary checkpoint.  The terminating iteration is never
+    // saved: a snapshot does not record that the run had stopped, so a
+    // rerun resumes before the stop and re-derives it.  The assignment is
+    // distributed, so the snapshot costs one extra allgather per
+    // checkpoint (that cost is what T-FLT-1 measures); every rank
+    // participates in the collective, rank 0 alone writes the blob.
+    if (!done && ft.active() && res.iterations % static_cast<std::size_t>(ft.every) == 0) {
       std::vector<std::int32_t> full_assign(shape.n);
       comm.allgather_into<std::int32_t>(res.assignment, std::span<std::int32_t>{full_assign});
       if (comm.rank() == 0) {
@@ -128,9 +130,6 @@ Result cluster_mpi(mpi::Comm& comm, const data::PointSet& points, const Options&
 
     if (done) break;
   }
-  // Only a restart from a snapshot of the final iteration starts past
-  // max_iterations; it runs no iteration and reports the last one.
-  res.iterations = std::min(res.iterations, opts.max_iterations);
 
   // Collect the distributed results: assignments in rank order equal the
   // original point order because the blocks are contiguous (static_block

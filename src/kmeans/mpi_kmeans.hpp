@@ -37,7 +37,9 @@ struct MpiKmeansStats {
 /// {centroids, changes history, assignment}, and a run that finds a
 /// snapshot under `ft.key` resumes from that iteration with its block of
 /// the saved assignment — the per-iteration `changes` counts continue
-/// exactly where the interrupted run left off.  (Across *different* rank
+/// exactly where the interrupted run left off.  The terminating iteration
+/// is never checkpointed, so a rerun against the store of a finished run
+/// re-derives the same stop and reports the same Result.  (Across *different* rank
 /// counts the centroid bits may differ — allreduce summation order — so
 /// the recovery guarantee here is convergence equivalence, not bit
 /// equality; the traffic driver provides the bit-identical variant.)

@@ -20,8 +20,9 @@
 ///             move, zero copies).  Bit-identical to the pre-seam code.
 ///   kShm    — a POSIX shared-memory segment holding one slot-ring per
 ///             process (fixed-size slots + a spillover region for large
-///             frames), with process-shared robust mutexes and condvars
-///             for cross-process wakeup.  Co-located processes only.
+///             frames): a lock-free slot protocol with futex parking for
+///             cross-process wakeup (a robust mutex guards only the
+///             spill free list).  Co-located processes only.
 ///   kSocket — length-prefixed frames over loopback TCP, one ordered
 ///             connection per process pair.  True multi-process runs;
 ///             peer death surfaces as EOF/ECONNRESET and is mapped to

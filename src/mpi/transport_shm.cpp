@@ -2,11 +2,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <ctime>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include <sys/mman.h>
 #include <unistd.h>
@@ -38,13 +36,9 @@ namespace {
 /// remembers dead processes so sends to them are dropped (and a sender
 /// already blocked on a dead process's full ring gives up) instead of
 /// piling into a ring nobody will ever drain.
-class ShmEndpoint {
+class ShmEndpoint : public WireEndpoint {
  public:
-  static ShmEndpoint& instance() {
-    (void)BufferPool::instance();  // constructed first → outlives the endpoint
-    static ShmEndpoint ep;
-    return ep;
-  }
+  static constexpr TransportKind kKind = TransportKind::kShm;
 
   void ensure_started() {
     std::lock_guard lock{start_mu_};
@@ -73,24 +67,23 @@ class ShmEndpoint {
     started_ = true;
   }
 
-  [[nodiscard]] FrameRouter& router() noexcept { return router_; }
-  [[nodiscard]] bool launched() const noexcept { return launched_; }
-  [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
-  [[nodiscard]] int my_proc() const noexcept { return my_proc_; }
-  [[nodiscard]] int proc_of(int rank) const noexcept { return launched_ ? rank : 0; }
-
-  void send_frame(int proc, FrameHeader h, const std::byte* payload) {
+  void send_frame(int proc, FrameHeader h, const PayloadBuffer& payload) {
     std::atomic<bool>& dead = dead_[static_cast<std::size_t>(proc)];
     if (dead.load(std::memory_order_relaxed)) return;
-    if (faults::WireInjector* wi = faults::wire::injector(); wi != nullptr) {
-      if (inject_and_push(*wi, proc, h, payload, dead)) return;
-    }
-    seal_frame(h, payload);
-    (void)ring_push(view_, proc, my_proc_, h, payload, &dead);
+    apply_wire_faults(
+        my_proc_, proc, h, payload,
+        [](PayloadBuffer& copy) {
+          // The ring has no short writes, so "truncated" means the tail
+          // never made it: zeros where content should be.
+          const std::size_t keep = copy.size() / 2;
+          std::memset(copy.mutable_data() + keep, 0, copy.size() - keep);
+        },
+        [&](const FrameHeader& f, const PayloadBuffer& p, int copies) {
+          for (int c = 0; c < copies; ++c) {
+            (void)ring_push(view_, proc, my_proc_, f, p.data(), &dead);
+          }
+        });
   }
-
- private:
-  ShmEndpoint() = default;
 
   ~ShmEndpoint() {
     if (!started_) return;
@@ -111,94 +104,22 @@ class ShmEndpoint {
     shm_detach(view_);
   }
 
-  /// Apply a fired wire action to one outbound frame.  Returns true when
-  /// the frame was fully handled here (dropped, or pushed in mutated
-  /// form); false sends it down the normal path.  The CRC is sealed over
-  /// the *true* content before any mutation, so the receiver's integrity
-  /// check must catch what we damaged.
-  bool inject_and_push(faults::WireInjector& wi, int proc, FrameHeader& h,
-                       const std::byte* payload, std::atomic<bool>& dead) {
-    const int src =
-        static_cast<WireKind>(h.kind) == WireKind::kData ? h.source : my_proc_;
-    const faults::WireAction a = wi.on_frame(src, proc, h.kind);
-    if (!a.any()) return false;
-    if (a.delay_ns != 0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(a.delay_ns));
-    }
-    if (a.drop) return true;
-    seal_frame(h, payload);
-    const int copies = a.duplicate ? 2 : 1;
-    if (a.corrupt || a.truncate) {
-      // Mutate a private copy: duplicates and machine-level fan-out share
-      // `payload`, and a clean copy of this same buffer may still be in
-      // flight elsewhere.
-      std::vector<std::byte> scratch(static_cast<std::size_t>(h.bytes));
-      if (h.bytes != 0) std::memcpy(scratch.data(), payload, h.bytes);
-      if (h.bytes == 0) {
-        h.crc ^= 1;  // nothing to damage but the header
-      } else if (a.truncate) {
-        // The ring has no short writes, so "truncated" means the tail
-        // never made it: zeros where content should be.
-        const std::size_t keep = static_cast<std::size_t>(h.bytes) / 2;
-        std::memset(scratch.data() + keep, 0, scratch.size() - keep);
-      } else {
-        scratch[scratch.size() / 2] ^= std::byte{0x01};
-      }
-      for (int c = 0; c < copies; ++c) {
-        (void)ring_push(view_, proc, my_proc_, h, scratch.data(), &dead);
-      }
-      return true;
-    }
-    for (int c = 0; c < copies; ++c) {
-      (void)ring_push(view_, proc, my_proc_, h, payload, &dead);
-    }
-    return true;
-  }
-
+ private:
   /// Dispatch one frame whose payload still lives in the segment (inline
   /// slot or spill block): kData copies exactly once, segment → pooled
   /// message buffer.  Nothing in here pushes back into our own ring —
   /// the ring_consume contract — because routing only ever touches
-  /// mailboxes and router state.
+  /// mailboxes and router state.  Hello and bye are wakeups (rendezvous
+  /// is the launcher's job), and a ping is liveness the shm detector does
+  /// not use (it reads alive words); only kFailed is ours to handle.
   void dispatch(const FrameHeader& h, const std::byte* payload) {
-    if (!frame_crc_ok(h, payload)) {
-      if (obs::enabled()) obs::counter("mpi.transport.crc_fail").add(1);
-      // A corrupt data frame is dropped — to its receiver it is a lost
-      // frame, and the timeout/recovery machinery takes over.  Control
-      // frames are *never* silently dropped: losing a kFailed/kRevoke
-      // wedges every survivor, and the protocol they carry is sticky and
-      // idempotent, so delivering a damaged one is strictly safer.
-      if (static_cast<WireKind>(h.kind) == WireKind::kData) return;
+    if (router_.dispatch(h, payload) != WireKind::kFailed) return;
+    if (h.source >= 0 && h.source < nprocs_) {
+      dead_[static_cast<std::size_t>(h.source)].store(true, std::memory_order_relaxed);
     }
-    switch (static_cast<WireKind>(h.kind)) {
-      case WireKind::kData:
-        router_.route_data(h.seq, h.dest, frame_to_message(h, payload));
-        break;
-      case WireKind::kFailed:
-        if (h.source >= 0 && h.source < nprocs_) {
-          dead_[static_cast<std::size_t>(h.source)].store(true, std::memory_order_relaxed);
-        }
-        router_.peer_failed(static_cast<std::uint32_t>(h.source),
-                            "rank " + std::to_string(h.source) +
-                                "'s process died (reported by the launcher)");
-        break;
-      case WireKind::kRevoke:
-        router_.route_ctrl(h.seq, CtrlKind::kRevoke, h.comm, {});
-        break;
-      case WireKind::kAbort:
-        router_.route_ctrl(h.seq, CtrlKind::kAbort, 0,
-                           std::string{reinterpret_cast<const char*>(payload),
-                                       static_cast<std::size_t>(h.bytes)});
-        break;
-      case WireKind::kHello:
-      case WireKind::kBye:
-        break;  // rendezvous is the launcher's job; bye is just a wakeup
-      case WireKind::kPing:
-        // Endpoint-level liveness only (the shm detector reads alive
-        // words, not pings, but a socket-style ping must still never
-        // reach a machine or the checker's in-flight accounting).
-        break;
-    }
+    router_.peer_failed(static_cast<std::uint32_t>(h.source),
+                        "rank " + std::to_string(h.source) +
+                            "'s process died (reported by the launcher)");
   }
 
   static void note_batch(std::uint64_t batch) {
@@ -223,13 +144,6 @@ class ShmEndpoint {
       ++batch;
     }
     note_batch(batch);
-  }
-
-  [[nodiscard]] static std::uint64_t monotonic_ns() noexcept {
-    timespec ts{};
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000u +
-           static_cast<std::uint64_t>(ts.tv_nsec);
   }
 
   /// Heartbeat thread (DESIGN.md §17): every interval, store our
@@ -257,10 +171,7 @@ class ShmEndpoint {
         if (w != 0) mon.alive(p, w);
         if (mon.check(p, now) == faults::HeartbeatMonitor::Verdict::kConfirmed) {
           dead.store(true, std::memory_order_relaxed);
-          router_.peer_failed(
-              static_cast<std::uint32_t>(p),
-              "rank " + std::to_string(p) + "'s process went silent: no heartbeat for " +
-                  std::to_string((now - w) / 1'000'000) + "ms (peer-to-peer detection)");
+          router_.peer_silent(p, now, w);
         }
       }
       std::unique_lock lock{beat_mu_};
@@ -271,90 +182,17 @@ class ShmEndpoint {
     }
   }
 
-  std::mutex start_mu_;
-  bool started_ = false;
-  bool launched_ = false;
-  int my_proc_ = 0;
-  int nprocs_ = 1;
   ShmView view_;
   std::unique_ptr<std::atomic<bool>[]> dead_;
-  FrameRouter router_;
-  std::atomic<bool> stop_{false};
-  std::thread pump_;
-  faults::HeartbeatConfig hb_;
   std::mutex beat_mu_;
   std::condition_variable beat_cv_;
   std::thread beat_;
 };
 
-class ShmTransport final : public Transport {
- public:
-  explicit ShmTransport(const TransportConfig& cfg) : ep_{ShmEndpoint::instance()} {
-    ep_.ensure_started();
-    if (ep_.launched()) {
-      PEACHY_CHECK(cfg.nranks == ep_.nprocs(),
-                   "shm transport: a launched world runs one rank per process, so "
-                   "mpi::run(nranks=" +
-                       std::to_string(cfg.nranks) + ") must match the " +
-                       std::to_string(ep_.nprocs()) + " launched processes");
-    }
-    seq_ = ep_.router().attach(cfg.sink);
-  }
-
-  ~ShmTransport() override { shutdown(); }
-
-  [[nodiscard]] TransportKind kind() const noexcept override { return TransportKind::kShm; }
-  [[nodiscard]] bool spans_processes() const noexcept override {
-    return ep_.launched() && ep_.nprocs() > 1;
-  }
-  [[nodiscard]] bool is_local(int rank) const noexcept override {
-    return !ep_.launched() || rank == ep_.my_proc();
-  }
-
-  void send(int dest, Message&& m, int copies) override {
-    const FrameHeader h = make_data_header(seq_, m, dest);
-    const int proc = ep_.proc_of(dest);
-    for (int c = 0; c < copies; ++c) ep_.send_frame(proc, h, m.payload.data());
-  }
-
-  void broadcast_ctrl(CtrlKind k, std::uint32_t arg, const std::string& why) override {
-    if (!spans_processes()) return;
-    FrameHeader h;
-    const std::byte* payload = nullptr;
-    switch (k) {
-      case CtrlKind::kFailed:
-        h = make_ctrl_header(WireKind::kFailed, seq_, static_cast<std::int32_t>(arg), 0);
-        break;
-      case CtrlKind::kRevoke:
-        h = make_ctrl_header(WireKind::kRevoke, seq_, ep_.my_proc(), arg);
-        break;
-      case CtrlKind::kAbort:
-        h = make_ctrl_header(WireKind::kAbort, seq_, ep_.my_proc(), 0, why.size());
-        payload = reinterpret_cast<const std::byte*>(why.data());
-        break;
-    }
-    for (int p = 0; p < ep_.nprocs(); ++p) {
-      if (p != ep_.my_proc()) ep_.send_frame(p, h, payload);
-    }
-  }
-
-  void shutdown() override {
-    if (attached_) {
-      attached_ = false;
-      ep_.router().detach(seq_);
-    }
-  }
-
- private:
-  ShmEndpoint& ep_;
-  std::uint32_t seq_ = 0;
-  bool attached_ = true;
-};
-
 }  // namespace
 
 std::unique_ptr<Transport> make_shm_transport(const TransportConfig& cfg) {
-  return std::make_unique<ShmTransport>(cfg);
+  return std::make_unique<WireTransport<ShmEndpoint>>(cfg);
 }
 
 }  // namespace peachy::mpi::detail

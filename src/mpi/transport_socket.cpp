@@ -1,10 +1,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
-#include <ctime>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -88,15 +86,9 @@ void count(const char* name, std::int64_t delta) noexcept {
 /// path through a self-connection: every send is serialized, pumped,
 /// and reassembled, so single-process shm/socket runs exercise the
 /// real wire.
-class SocketEndpoint {
+class SocketEndpoint : public WireEndpoint {
  public:
-  static SocketEndpoint& instance() {
-    // Touch the pool first: it must outlive the endpoint, whose pump
-    // builds pooled messages until static teardown.
-    (void)BufferPool::instance();
-    static SocketEndpoint ep;
-    return ep;
-  }
+  static constexpr TransportKind kKind = TransportKind::kSocket;
 
   void ensure_started() {
     std::lock_guard lock{start_mu_};
@@ -221,69 +213,26 @@ class SocketEndpoint {
     }
   }
 
-  [[nodiscard]] FrameRouter& router() noexcept { return router_; }
-  [[nodiscard]] bool launched() const noexcept { return launched_; }
-  [[nodiscard]] int nprocs() const noexcept { return nprocs_; }
-  [[nodiscard]] int my_proc() const noexcept { return my_proc_; }
-  [[nodiscard]] int proc_of(int rank) const noexcept { return launched_ ? rank : 0; }
-
-  /// Enqueue one frame on `proc`'s stream; the payload handle keeps the
-  /// bytes alive until they hit the wire.  FIFO order per channel and a
-  /// single drainer at a time preserve whole-frame atomicity.  A write
+  /// Enqueue one frame on `proc`'s stream; a shared payload handle keeps
+  /// the bytes alive until they hit the wire.  FIFO order per channel and
+  /// a single drainer at a time preserve whole-frame atomicity.  A write
   /// failure means the peer is gone: the connection is retired and —
   /// absent a goodbye — the death is reported; queued frames are
-  /// dropped.
-  ///
-  /// The header is taken by value: this is the wire boundary, so the
-  /// seeded wire-fault injector (plan.hpp) gets to mutate, duplicate, or
-  /// drop the frame here, and the CRC seal is computed over whatever
-  /// actually goes out.
-  void send_frame(int proc, FrameHeader h, PayloadBuffer payload) {
-    int copies = 1;
+  /// dropped.  This is the wire boundary, so the frame is sealed and the
+  /// seeded wire-fault injector applied here (apply_wire_faults).
+  void send_frame(int proc, FrameHeader h, const PayloadBuffer& payload) {
     std::size_t wire_len = static_cast<std::size_t>(h.bytes);
-    if (faults::WireInjector* wi = faults::wire::injector(); wi != nullptr) {
-      const int src = static_cast<WireKind>(h.kind) == WireKind::kData
-                          ? h.source
-                          : my_proc_;
-      const faults::WireAction act = wi->on_frame(src, proc, static_cast<int>(h.kind));
-      if (act.any()) {
-        if (act.delay_ns != 0) {
-          std::this_thread::sleep_for(std::chrono::nanoseconds{act.delay_ns});
-        }
-        if (act.drop) return;
-        // Seal over the true content first; corruption then damages a
-        // well-formed frame, exactly what the receiver's CRC must catch.
-        seal_frame(h, payload.data());
-        if (act.corrupt) {
-          if (h.bytes == 0) {
-            h.crc ^= 1;
-          } else {
-            // The payload handle may share a slab with other in-flight
-            // copies; corrupt a private copy, not the caller's bytes.
-            PayloadBuffer dirty = BufferPool::instance().acquire(
-                static_cast<std::size_t>(h.bytes));
-            std::memcpy(dirty.mutable_data(), payload.data(),
-                        static_cast<std::size_t>(h.bytes));
-            const std::size_t mid = static_cast<std::size_t>(h.bytes) / 2;
-            dirty.mutable_data()[mid] ^= std::byte{0x01};
-            payload = std::move(dirty);
-          }
-        }
-        if (act.truncate) {
-          // Short-write the payload but leave h.bytes intact: the stream
-          // desyncs and the receiver must detect it via magic/CRC.
-          wire_len = static_cast<std::size_t>(h.bytes) / 2;
-        }
-        if (act.duplicate) copies = 2;
-        enqueue_frames(proc, h, std::move(payload), wire_len, copies);
-        return;
-      }
-    }
-    seal_frame(h, payload.data());
-    enqueue_frames(proc, h, std::move(payload), wire_len, copies);
+    apply_wire_faults(
+        my_proc_, proc, h, payload,
+        // Short-write the payload but leave h.bytes intact: the stream
+        // desyncs and the receiver must detect it via magic/CRC.
+        [&wire_len](PayloadBuffer& copy) { wire_len = copy.size() / 2; },
+        [&](const FrameHeader& f, const PayloadBuffer& p, int copies) {
+          enqueue_frames(proc, f, p, wire_len, copies);
+        });
   }
 
-  void enqueue_frames(int proc, const FrameHeader& h, PayloadBuffer payload,
+  void enqueue_frames(int proc, const FrameHeader& h, const PayloadBuffer& payload,
                       std::size_t wire_len, int copies) {
     OutChannel& ch = out_[static_cast<std::size_t>(proc)];
     std::unique_lock lk{ch.mu};
@@ -294,8 +243,7 @@ class SocketEndpoint {
       if (ch.fd < 0) return;
     }
     for (int c = 0; c < copies; ++c) {
-      ch.q.push_back(OutFrame{h, c + 1 < copies ? payload.share() : std::move(payload),
-                              wire_len});
+      ch.q.push_back(OutFrame{h, payload.share(), wire_len});
       ch.queued_bytes += static_cast<std::size_t>(h.bytes);
     }
     if (ch.writing) return;  // an active drainer will gather this frame
@@ -305,9 +253,6 @@ class SocketEndpoint {
     lk.unlock();
     ch.cv.notify_all();
   }
-
- private:
-  SocketEndpoint() = default;
 
   ~SocketEndpoint() {
     if (!started_) return;
@@ -334,6 +279,7 @@ class SocketEndpoint {
 #endif
   }
 
+ private:
   struct OutFrame {
     FrameHeader h;
     PayloadBuffer payload;
@@ -443,13 +389,6 @@ class SocketEndpoint {
     ch.cv.notify_all();
   }
 
-  static std::uint64_t monotonic_ns() noexcept {
-    timespec ts{};
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-  }
-
   /// Fire one sealed kPing at `p` without ever blocking the pump.  Only
   /// an *idle* channel is pinged — queued data already proves to the
   /// peer that we are alive, and an active drainer owns the fd.
@@ -504,12 +443,8 @@ class SocketEndpoint {
       const std::uint64_t rx = last_rx_[static_cast<std::size_t>(p)];
       if (rx != 0) mon_->alive(p, rx);
       if (mon_->check(p, now_ns_) == faults::HeartbeatMonitor::Verdict::kConfirmed) {
-        const std::uint64_t silent_ms = rx != 0 ? (now_ns_ - rx) / 1'000'000 : 0;
         retire_channel(p);
-        router_.peer_failed(static_cast<std::uint32_t>(p),
-                            "rank " + std::to_string(p) +
-                                "'s process went silent: no heartbeat for " +
-                                std::to_string(silent_ms) + "ms (peer-to-peer detection)");
+        router_.peer_silent(p, now_ns_, rx);
       }
     }
   }
@@ -570,17 +505,11 @@ class SocketEndpoint {
     return true;
   }
 
+  /// The router routes data/revoke/abort; hello, bye, failed, and ping
+  /// are this endpoint's.  Any frame, a ping included, refreshes the
+  /// sender's last-alive stamp.
   void dispatch(Conn& conn, const FrameHeader& h, const std::byte* payload) {
-    if (!frame_crc_ok(h, payload)) {
-      count("mpi.transport.crc_fail", 1);
-      // Data frames are droppable: the protocol above recovers from a
-      // lost message (timeout/retry) but not from a corrupted one.  The
-      // sticky, idempotent control kinds (kFailed/kRevoke/kBye) must
-      // never be silently swallowed — deliver them even damaged; a
-      // repeat or a stale arg is harmless, a missed one wedges recovery.
-      if (static_cast<WireKind>(h.kind) == WireKind::kData) return;
-    }
-    switch (static_cast<WireKind>(h.kind)) {
+    switch (router_.dispatch(h, payload)) {
       case WireKind::kHello:
         conn.proc = h.source;
         break;
@@ -588,24 +517,11 @@ class SocketEndpoint {
         conn.bye = true;
         if (conn.proc >= 0) bye_[static_cast<std::size_t>(conn.proc)].store(true);
         break;
-      case WireKind::kData:
-        router_.route_data(h.seq, h.dest, frame_to_message(h, payload));
-        break;
       case WireKind::kFailed:
         router_.peer_failed(static_cast<std::uint32_t>(h.source),
                             "rank " + std::to_string(h.source) + "'s process died");
         break;
-      case WireKind::kRevoke:
-        router_.route_ctrl(h.seq, CtrlKind::kRevoke, h.comm, {});
-        break;
-      case WireKind::kAbort:
-        router_.route_ctrl(h.seq, CtrlKind::kAbort, 0,
-                           std::string{reinterpret_cast<const char*>(payload),
-                                       static_cast<std::size_t>(h.bytes)});
-        break;
-      case WireKind::kPing:
-        // Heartbeat: carries no routing — receiving it (any frame, in
-        // fact) refreshes the sender's last-alive stamp below.
+      default:
         break;
     }
     if (conn.proc >= 0 && hb_.enabled()) {
@@ -777,11 +693,6 @@ class SocketEndpoint {
     for (const Conn& c : conns) close(c.fd);
   }
 
-  std::mutex start_mu_;
-  bool started_ = false;
-  bool launched_ = false;
-  int my_proc_ = 0;
-  int nprocs_ = 1;
   int listen_fd_ = -1;
   int wake_fd_ = -1;
 #if !defined(__linux__)
@@ -791,85 +702,16 @@ class SocketEndpoint {
   std::unique_ptr<std::atomic<bool>[]> bye_;
   std::vector<std::byte> stage_;     ///< pump-thread read staging buffer
   std::uint64_t frames_this_wake_ = 0;
-  faults::HeartbeatConfig hb_;
   std::optional<faults::HeartbeatMonitor> mon_;  ///< pump-thread only
   std::unique_ptr<std::uint64_t[]> last_rx_;     ///< pump-thread only; ns of last inbound frame per proc
   std::uint64_t now_ns_ = 0;                     ///< pump-thread clock cache
   std::uint64_t next_beat_ns_ = 0;
-  FrameRouter router_;
-  std::atomic<bool> stop_{false};
-  std::thread pump_;
-};
-
-class SocketTransport final : public Transport {
- public:
-  explicit SocketTransport(const TransportConfig& cfg) : ep_{SocketEndpoint::instance()} {
-    ep_.ensure_started();
-    if (ep_.launched()) {
-      PEACHY_CHECK(cfg.nranks == ep_.nprocs(),
-                   "socket transport: a launched world runs one rank per process, so "
-                   "mpi::run(nranks=" +
-                       std::to_string(cfg.nranks) + ") must match the " +
-                       std::to_string(ep_.nprocs()) + " launched processes");
-    }
-    seq_ = ep_.router().attach(cfg.sink);
-  }
-
-  ~SocketTransport() override { shutdown(); }
-
-  [[nodiscard]] TransportKind kind() const noexcept override { return TransportKind::kSocket; }
-  [[nodiscard]] bool spans_processes() const noexcept override {
-    return ep_.launched() && ep_.nprocs() > 1;
-  }
-  [[nodiscard]] bool is_local(int rank) const noexcept override {
-    return !ep_.launched() || rank == ep_.my_proc();
-  }
-
-  void send(int dest, Message&& m, int copies) override {
-    const FrameHeader h = make_data_header(seq_, m, dest);
-    const int proc = ep_.proc_of(dest);
-    for (int c = 0; c < copies; ++c) ep_.send_frame(proc, h, m.payload.share());
-  }
-
-  void broadcast_ctrl(CtrlKind k, std::uint32_t arg, const std::string& why) override {
-    if (!spans_processes()) return;
-    FrameHeader h;
-    PayloadBuffer payload;
-    switch (k) {
-      case CtrlKind::kFailed:
-        h = make_ctrl_header(WireKind::kFailed, seq_, static_cast<std::int32_t>(arg), 0);
-        break;
-      case CtrlKind::kRevoke:
-        h = make_ctrl_header(WireKind::kRevoke, seq_, ep_.my_proc(), arg);
-        break;
-      case CtrlKind::kAbort:
-        h = make_ctrl_header(WireKind::kAbort, seq_, ep_.my_proc(), 0, why.size());
-        payload = BufferPool::instance().acquire(why.size());
-        if (!why.empty()) std::memcpy(payload.mutable_data(), why.data(), why.size());
-        break;
-    }
-    for (int p = 0; p < ep_.nprocs(); ++p) {
-      if (p != ep_.my_proc()) ep_.send_frame(p, h, payload.share());
-    }
-  }
-
-  void shutdown() override {
-    if (attached_) {
-      attached_ = false;
-      ep_.router().detach(seq_);
-    }
-  }
-
- private:
-  SocketEndpoint& ep_;
-  std::uint32_t seq_ = 0;
-  bool attached_ = true;
 };
 
 }  // namespace
 
 std::unique_ptr<Transport> make_socket_transport(const TransportConfig& cfg) {
-  return std::make_unique<SocketTransport>(cfg);
+  return std::make_unique<WireTransport<SocketEndpoint>>(cfg);
 }
 
 }  // namespace peachy::mpi::detail

@@ -16,10 +16,12 @@
 /// destroyed generation (a message leaked by the program) is dropped —
 /// stale traffic can never satisfy a later run's receive.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "faults/plan.hpp"
 #include "kernels/crc32c.hpp"
@@ -116,6 +118,48 @@ static_assert(sizeof(FrameHeader) == 48, "wire framing is layout-sensitive");
 inline void seal_frame(FrameHeader& h, const std::byte* payload) noexcept {
   if (wire_crc_covers_payload()) h.flags |= kFrameFlagCrcPayload;
   h.crc = frame_crc(h, payload);
+}
+
+/// The one wire-fault path of both wire endpoints: seal `h` and hand the
+/// frame to `push(header, payload, copies)`.  With a wire plan armed, the
+/// injector — scoped by sender: a data frame's rank, else this process —
+/// may delay, drop, duplicate, or damage the frame.  The CRC is sealed
+/// over the *true* content before any damage, so the receiver's integrity
+/// check must catch it.  Damage lands on a pooled private copy, because
+/// duplicates and machine-level fan-out share `payload`: corrupt flips its
+/// middle byte, and `truncate(copy)` expresses truncation in the
+/// endpoint's medium.  A frame with no payload has nothing to damage but
+/// its CRC, which is flipped instead.
+template <typename Truncate, typename Push>
+inline void apply_wire_faults(int my_proc, int proc, FrameHeader h, const PayloadBuffer& payload,
+                              Truncate&& truncate, Push&& push) {
+  faults::WireInjector* wi = faults::wire::injector();
+  if (wi == nullptr) [[likely]] {
+    seal_frame(h, payload.data());
+    push(h, payload, 1);
+    return;
+  }
+  const int src = static_cast<WireKind>(h.kind) == WireKind::kData ? h.source : my_proc;
+  const faults::WireAction a = wi->on_frame(src, proc, h.kind);
+  if (a.delay_ns != 0) std::this_thread::sleep_for(std::chrono::nanoseconds{a.delay_ns});
+  if (a.drop) return;
+  seal_frame(h, payload.data());
+  const int copies = a.duplicate ? 2 : 1;
+  if (!a.corrupt && !a.truncate) {
+    push(h, payload, copies);
+    return;
+  }
+  if (h.bytes == 0) {
+    h.crc ^= 1;
+    push(h, payload, copies);
+    return;
+  }
+  const auto n = static_cast<std::size_t>(h.bytes);
+  PayloadBuffer copy = BufferPool::instance().acquire(n);
+  std::memcpy(copy.mutable_data(), payload.data(), n);
+  if (a.corrupt) copy.mutable_data()[n / 2] ^= std::byte{0x01};
+  if (a.truncate) truncate(copy);
+  push(h, copy, copies);
 }
 
 /// Receive-side integrity check; verifies what the sender sealed.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -12,12 +14,14 @@
 #include <set>
 
 #include "data/points.hpp"
+#include "faults/checkpoint.hpp"
 #include "kmeans/kmeans.hpp"
 #include "kmeans/mpi_kmeans.hpp"
 #include "kmeans/simt_kmeans.hpp"
 #include "support/check.hpp"
 
 namespace km = peachy::kmeans;
+namespace pf = peachy::faults;
 namespace pd = peachy::data;
 namespace pm = peachy::mpi;
 
@@ -266,6 +270,95 @@ TEST(KmeansMpi, ReportsTraffic) {
   EXPECT_GT(stats.messages, 0u);
   EXPECT_GT(stats.bytes, 0u);
   EXPECT_GT(stats.iterations, 0u);
+}
+
+// ---- distributed restart -------------------------------------------------------------
+
+namespace {
+
+/// Records the next_step of every snapshot it is asked to save, and keeps
+/// only those up to `keep_through` — a crash right after that checkpoint.
+class RecordingStore final : public pf::CheckpointStore {
+ public:
+  explicit RecordingStore(std::uint64_t keep_through = UINT64_MAX)
+      : keep_through_{keep_through} {}
+
+  void save(const std::string& key, pf::Snapshot snap) override {
+    saved.push_back(snap.next_step);  // rank 0 alone writes snapshots
+    if (snap.next_step <= keep_through_) CheckpointStore::save(key, std::move(snap));
+  }
+
+  std::vector<std::uint64_t> saved;
+
+ private:
+  std::uint64_t keep_through_;
+};
+
+km::Options restart_opts() {
+  km::Options opts = default_opts(4);
+  opts.min_changes = 3;
+  return opts;
+}
+
+km::Result run_ft(int p, const pd::PointSet& points, const km::Options& opts,
+                  pf::CheckpointStore& store) {
+  const pf::FtOptions ft{1, &store, "kmeans"};
+  km::Result out;
+  pm::run(p, [&](pm::Comm& comm) {
+    auto res = km::cluster_mpi(comm, comm.rank() == 0 ? points : pd::PointSet{}, opts,
+                               nullptr, ft);
+    if (comm.rank() == 0) out = std::move(res);
+  });
+  return out;
+}
+
+void expect_same_run(const km::Result& got, const km::Result& want) {
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.changes_per_iteration, want.changes_per_iteration);
+  EXPECT_EQ(got.termination, want.termination);
+  EXPECT_EQ(got.assignment, want.assignment);
+}
+
+}  // namespace
+
+TEST(KmeansMpiRestart, RerunOfAFinishedRunReportsTheSameResult) {
+  const auto points = blobs(70, 4, 3, 1.5, 23);
+  const km::Options opts = restart_opts();
+  RecordingStore store;
+  const km::Result first = run_ft(2, points, opts, store);
+  ASSERT_EQ(first.termination, km::Termination::kMinChanges);
+  ASSERT_GE(first.iterations, 3u);
+  // The terminating iteration is not checkpointed: the last snapshot
+  // resumes at the final iteration, which the rerun re-derives.
+  ASSERT_FALSE(store.saved.empty());
+  EXPECT_EQ(store.saved.back(), first.iterations);
+
+  const km::Result again = run_ft(2, points, opts, store);
+  expect_same_run(again, first);
+  const auto& a = again.centroids.values();
+  const auto& b = first.centroids.values();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << "centroid bits differ";
+}
+
+TEST(KmeansMpiRestart, ResumesFromAMidRunSnapshotAtMoreRanks) {
+  const auto points = blobs(70, 4, 3, 1.5, 23);
+  const km::Options opts = restart_opts();
+  RecordingStore store{/*keep_through=*/4};  // keeps iteration 3's snapshot
+  const km::Result whole = run_ft(2, points, opts, store);
+  ASSERT_GT(whole.iterations, 4u) << "the run must outlive the kept snapshot";
+
+  store.saved.clear();
+  const km::Result got = run_ft(3, points, opts, store);
+  ASSERT_FALSE(store.saved.empty());
+  EXPECT_EQ(store.saved.front(), 5u) << "the rerun must resume at iteration 4";
+  expect_same_run(got, whole);
+  // Three ranks sum the partial centroids in another order than two.
+  const auto& a = got.centroids.values();
+  const auto& b = whole.centroids.values();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9) << "coord " << i;
 }
 
 // ---- SIMT ---------------------------------------------------------------------------------

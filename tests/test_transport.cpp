@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <numeric>
 #include <set>
@@ -21,6 +24,7 @@
 #include "analysis/report.hpp"
 #include "faults/faults.hpp"
 #include "faults/plan.hpp"
+#include "mpi/frame_router.hpp"
 #include "mpi/mpi.hpp"
 #include "obs/obs.hpp"
 #include "traffic/mpi_traffic.hpp"
@@ -501,6 +505,179 @@ TEST(WireChaosShm, TruncatedFrameZerosTheTailAndFailsCrc) {
   }, o);
   EXPECT_EQ(peachy::obs::counter("faults.wire.truncate").value(), 1);
   EXPECT_GE(peachy::obs::counter("mpi.transport.crc_fail").value(), 1);
+  peachy::obs::disable();
+  peachy::obs::reset();
+}
+
+TEST(WireChaosSocket, TruncatedFrameDesyncsTheStreamAndNeverDeliversBytes) {
+  // The socket twin: a short write leaves the header's length intact, so
+  // the receiver reads the next frame's bytes as the rest of this one.
+  // The CRC fails, the desynced stream is retired, and nothing after the
+  // truncation is ever delivered.  Retiring the stream breaks this
+  // process's self-connection for good, so the run happens in a child.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const auto plan = pf::FaultPlan::parse("wire_truncate@rank=0,step=0");
+        pm::RunOptions o;
+        o.transport = pm::TransportKind::kSocket;
+        o.plan = &plan;
+        o.check = peachy::analysis::CheckLevel::off;
+        peachy::obs::reset();
+        peachy::obs::enable();
+        int timeouts = 0;
+        pm::run(2, [&timeouts](pm::Comm& c) {
+          if (c.rank() == 0) {
+            c.send<int>(1, 1, std::vector<int>(64, 7));  // truncated on the wire
+            // Larger than the missing half: completes the short frame.
+            c.send<int>(1, 2, std::vector<int>(4096, 9));
+          } else {
+            for (const int tag : {1, 2}) {
+              try {
+                (void)c.recv<int>(0, tag, std::chrono::milliseconds{300});
+              } catch (const pf::TimeoutError&) {
+                ++timeouts;
+              }
+            }
+          }
+        }, o);
+        const auto crc_fail = peachy::obs::counter("mpi.transport.crc_fail").value();
+        std::fprintf(stderr, "timeouts=%d crc_fail=%lld\n", timeouts,
+                     static_cast<long long>(crc_fail));
+        std::_Exit(timeouts == 2 && crc_fail >= 1 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "timeouts=2");
+}
+
+// ---- frame router -----------------------------------------------------------
+
+namespace {
+
+namespace pd = pm::detail;
+
+/// Records every delivery and control event as one line.
+class FakeSink final : public pd::TransportSink {
+ public:
+  void deliver(int dest, pd::Message&& m, int copies) override {
+    std::string bytes(reinterpret_cast<const char*>(m.payload.data()), m.payload.size());
+    events.push_back("data dest=" + std::to_string(dest) + " tag=" + std::to_string(m.tag) +
+                     " copies=" + std::to_string(copies) + " '" + bytes + "'");
+  }
+  void on_ctrl(pd::CtrlKind k, std::uint32_t arg, const std::string& why) override {
+    const char* name = k == pd::CtrlKind::kFailed   ? "failed"
+                       : k == pd::CtrlKind::kRevoke ? "revoke"
+                                                    : "abort";
+    events.push_back(std::string{name} + " " + std::to_string(arg) + " '" + why + "'");
+  }
+
+  std::vector<std::string> events;
+};
+
+/// One sealed frame and its payload, as a wire endpoint would hand it to
+/// FrameRouter::dispatch.
+struct Frame {
+  pd::FrameHeader h;
+  std::string payload;
+};
+
+Frame data_frame(std::uint32_t seq, int dest, int tag, std::string payload) {
+  pd::FrameHeader h;
+  h.kind = static_cast<std::uint8_t>(pd::WireKind::kData);
+  h.seq = seq;
+  h.dest = dest;
+  h.tag = tag;
+  h.bytes = payload.size();
+  Frame f{h, std::move(payload)};
+  pd::seal_frame(f.h, reinterpret_cast<const std::byte*>(f.payload.data()));
+  return f;
+}
+
+Frame ctrl_frame(pd::WireKind kind, std::uint32_t seq, std::uint32_t comm, std::string why = {}) {
+  Frame f{pd::make_ctrl_header(kind, seq, 0, comm, why.size()), std::move(why)};
+  pd::seal_frame(f.h, reinterpret_cast<const std::byte*>(f.payload.data()));
+  return f;
+}
+
+pd::WireKind dispatch(pd::FrameRouter& router, const Frame& f) {
+  return router.dispatch(f.h, reinterpret_cast<const std::byte*>(f.payload.data()));
+}
+
+}  // namespace
+
+TEST(FrameRouter, FutureGenerationIsBufferedAndReplayedOnAttach) {
+  pd::FrameRouter router;
+  FakeSink first, second;
+  const std::uint32_t seq = router.attach(&first);
+  // A peer already on the next generation: its frames wait, in order.
+  EXPECT_EQ(dispatch(router, data_frame(seq + 1, 1, 7, "early")), pd::WireKind::kData);
+  EXPECT_EQ(dispatch(router, ctrl_frame(pd::WireKind::kRevoke, seq + 1, 3)),
+            pd::WireKind::kRevoke);
+  EXPECT_TRUE(first.events.empty());
+  router.detach(seq);
+  EXPECT_EQ(router.attach(&second), seq + 1);
+  EXPECT_EQ(second.events,
+            (std::vector<std::string>{"data dest=1 tag=7 copies=1 'early'", "revoke 3 ''"}));
+  EXPECT_TRUE(first.events.empty());
+}
+
+TEST(FrameRouter, RetiredGenerationFramesAreDropped) {
+  pd::FrameRouter router;
+  FakeSink first, second, third;
+  const std::uint32_t old_seq = router.attach(&first);
+  router.detach(old_seq);
+  const std::uint32_t seq = router.attach(&second);
+  (void)dispatch(router, data_frame(old_seq, 0, 1, "stale"));
+  (void)dispatch(router, ctrl_frame(pd::WireKind::kAbort, old_seq, 0, "stale abort"));
+  (void)dispatch(router, data_frame(seq, 0, 2, "live"));
+  EXPECT_TRUE(first.events.empty());
+  EXPECT_EQ(second.events, (std::vector<std::string>{"data dest=0 tag=2 copies=1 'live'"}));
+  // A detached generation is retired too: its late frames never reach a
+  // later sink.
+  router.detach(seq);
+  (void)dispatch(router, data_frame(seq, 0, 3, "late"));
+  (void)router.attach(&third);
+  EXPECT_TRUE(third.events.empty());
+  EXPECT_EQ(second.events.size(), 1u);
+}
+
+TEST(FrameRouter, PeerDeathsReplayOncePerRankToEveryNewSink) {
+  pd::FrameRouter router;
+  FakeSink first, second;
+  const std::uint32_t seq = router.attach(&first);
+  router.peer_failed(2, "rank 2's process died");
+  router.peer_failed(2, "a second report of rank 2");
+  router.peer_failed(1, "rank 1's process died");
+  const std::vector<std::string> deaths{"failed 2 'rank 2's process died'",
+                                        "failed 1 'rank 1's process died'"};
+  EXPECT_EQ(first.events, deaths);
+  (void)dispatch(router, data_frame(seq + 1, 0, 5, "next"));
+  router.detach(seq);
+  (void)router.attach(&second);
+  // Deaths first, then the frames buffered for this generation.
+  std::vector<std::string> want = deaths;
+  want.push_back("data dest=0 tag=5 copies=1 'next'");
+  EXPECT_EQ(second.events, want);
+}
+
+TEST(FrameRouter, BadCrcDropsDataButDeliversControl) {
+  peachy::obs::reset();
+  peachy::obs::enable();
+  pd::FrameRouter router;
+  FakeSink sink;
+  const std::uint32_t seq = router.attach(&sink);
+  Frame data = data_frame(seq, 1, 4, "payload");
+  Frame revoke = ctrl_frame(pd::WireKind::kRevoke, seq, 9);
+  Frame abort = ctrl_frame(pd::WireKind::kAbort, seq, 0, "rank 0 aborted");
+  for (Frame* f : {&data, &revoke, &abort}) f->h.crc ^= 1;
+  EXPECT_EQ(dispatch(router, data), pd::WireKind::kData);
+  EXPECT_TRUE(sink.events.empty()) << "a corrupt data frame must be dropped";
+  EXPECT_EQ(dispatch(router, revoke), pd::WireKind::kRevoke);
+  EXPECT_EQ(dispatch(router, abort), pd::WireKind::kAbort);
+  EXPECT_EQ(sink.events, (std::vector<std::string>{"revoke 9 ''", "abort 0 'rank 0 aborted'"}));
+  EXPECT_EQ(peachy::obs::counter("mpi.transport.crc_fail").value(), 3);
+  // Endpoint-level kinds are returned to the endpoint, never routed.
+  EXPECT_EQ(dispatch(router, ctrl_frame(pd::WireKind::kHello, seq, 0)), pd::WireKind::kHello);
+  EXPECT_EQ(sink.events.size(), 2u);
   peachy::obs::disable();
   peachy::obs::reset();
 }
