@@ -1,10 +1,10 @@
 /// \file bench_transport.cpp
 /// \brief Cross-process wire regression harness: times ping-pong round-trip
-/// latency, one-way streaming throughput, and two collectives on every
+/// latency, one-way streaming throughput, and three collectives on every
 /// transport backend (inproc / shm / socket) across the payload sizes that
 /// matter to the wire — below the shm inline-slot limit, at the boundary, and
 /// on the spill path.  Results are emitted as machine-readable JSON (schema
-/// "peachy-bench/1", same shape as BENCH_substrates.json) so each PR has a
+/// "peachy-bench/1", same shape as BENCH_kernels.json) so each PR has a
 /// wire-perf trajectory to compare against.
 ///
 /// Column semantics: `kernel_ns` is the backend under test, `scalar_ns` is
@@ -19,8 +19,9 @@
 /// --tiny shrinks every workload to smoke-test size (for scripts/check.sh
 /// transport-bench-smoke: validates the wiring and the JSON schema on all
 /// three backends, not the numbers).  --repeat overrides the best-of count
-/// (default 5; the check.sh regression gate uses a higher value so a fresh
-/// run's floor estimate is at least as tight as the committed baseline's).
+/// (default 5; the regression gate in scripts/gates.sh uses a higher value
+/// so a fresh run's floor estimate is at least as tight as the committed
+/// baseline's).
 /// Default output: BENCH_transport.json.
 ///
 /// The harness runs unlaunched (one OS process): wire backends serialize
@@ -36,6 +37,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mpi/mpi.hpp"
@@ -130,11 +132,12 @@ double time_stream(pm::TransportKind k, std::size_t bytes, int count, int reps) 
   return secs * 1e9 / count;
 }
 
-/// The collectives the sweep times.
-enum class CollOp { kAllreduce, kAllgather };
+/// The collectives the sweep times, and their row names.
+enum class CollOp { kAllreduce, kAllgather, kAlltoall };
+constexpr const char* kCollNames[] = {"allreduce", "allgather", "alltoall"};
 
-/// `rounds` rounds of `op` over `n` doubles on `ranks` ranks.  Returns ns
-/// per round.
+/// `rounds` rounds of `op` over `n` doubles on `ranks` ranks (alltoall: `n`
+/// doubles to every destination).  Returns ns per round.
 double time_coll(pm::TransportKind k, CollOp op, int ranks, std::size_t n, int rounds,
                  int reps) {
   pm::RunOptions opts;
@@ -158,9 +161,18 @@ double time_coll(pm::TransportKind k, CollOp op, int ranks, std::size_t n, int r
                 comm.allgather_into<double>(std::span<const double>{data},
                                             std::span<double>{all});
                 break;
+              case CollOp::kAlltoall: {
+                // Send buckets rebuilt every round and moved into the
+                // rvalue overload, as MapReduce::collate hands over its
+                // pages.
+                std::vector<std::vector<double>> buckets(static_cast<std::size_t>(comm.size()),
+                                                         data);
+                all = std::move(comm.alltoall(std::move(buckets)).back());
+                break;
+              }
             }
           }
-          g_sink += op == CollOp::kAllgather ? all.back() : data[0];
+          g_sink += op == CollOp::kAllreduce ? data[0] : all.back();
         },
         opts);
   });
@@ -223,8 +235,8 @@ void run_all(bool tiny, int repeat_override) {
   const std::vector<std::size_t> coll_n =
       tiny ? std::vector<std::size_t>{32} : std::vector<std::size_t>{256, 8192};
   const int coll_rounds = tiny ? 2 : 50;
-  for (const CollOp op : {CollOp::kAllreduce, CollOp::kAllgather}) {
-    const char* opname = op == CollOp::kAllreduce ? "allreduce" : "allgather";
+  for (const CollOp op : {CollOp::kAllreduce, CollOp::kAllgather, CollOp::kAlltoall}) {
+    const char* opname = kCollNames[static_cast<int>(op)];
     for (const std::size_t n : coll_n) {
       const std::string shape =
           std::string(opname) + " p=4 n=" + std::to_string(n) + " f64";

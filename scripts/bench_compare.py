@@ -92,8 +92,8 @@ def main():
                          "fractional (default 0.25); informational only")
     ap.add_argument("--filter", default=None,
                     help="only compare rows whose name matches this "
-                         "regex (e.g. 'coll_.*_p4' for one rank count "
-                         "of the collective sweep)")
+                         "regex (e.g. '_inproc' for bench_transport's "
+                         "in-process rows)")
     args = ap.parse_args()
 
     base_doc, base = load(args.baseline)

@@ -17,27 +17,20 @@
 #   bench-smoke — Release build of the bench tree only; runs bench_kernels
 #                 at tiny sizes and validates the emitted JSON against the
 #                 "peachy-bench/1" schema (wiring check, not a perf gate)
-#   bench-substrates-smoke
-#               — same for bench_substrates (the shipped pooled
-#                 collectives and the MapReduce shuffle), then a
-#                 full-size run gated against the committed
-#                 BENCH_substrates.json via bench_compare.py at a 15%
-#                 geomean band — the pooled-transport perf contract
 #   obs-smoke   — Release build of examples + bench; runs kmeans_cluster
 #                 under PEACHY_TRACE and validates the "peachy-trace/1"
 #                 document (>=4 substrate categories, well-formed per-thread
-#                 span nesting), then runs bench_kernels with tracing
-#                 *disabled* and gates it at <2% geomean slowdown against
-#                 the committed baseline — the obs overhead contract
+#                 span nesting), then runs the kernels gate
+#                 (scripts/gates.sh) with tracing *disabled* — the obs
+#                 overhead contract
 #   faults-smoke
 #               — Release build of tests + examples + bench; runs the
 #                 fault-injection test matrix (test_faults), proves seeded
 #                 replay determinism (fault_demo --print-events twice,
 #                 fired-event logs must be byte-identical), runs both
-#                 fault_demo recovery modes end to end, then runs
-#                 bench_kernels with faults *disabled* and gates it at
-#                 <2% geomean slowdown against the committed baseline —
-#                 the zero-cost-when-off contract
+#                 fault_demo recovery modes end to end, then runs the
+#                 kernels gate with faults *disabled* — the
+#                 zero-cost-when-off contract
 #   transport-smoke
 #               — Release tests + examples tree; runs the cross-backend
 #                 conformance suite (test_transport) and the shm-ring
@@ -54,8 +47,7 @@
 #               — Release bench tree; schema-validates the committed
 #                 BENCH_transport.json baseline, runs bench_transport at
 #                 tiny sizes over all three backends (wiring check),
-#                 then a full-size run gated on the *inproc* rows at <2%
-#                 geomean regression vs the committed baseline — the
+#                 then the transport gate on the *inproc* rows — the
 #                 wire fast paths must not tax the in-process backend
 #   chaos-smoke — chaos-hardened wires (DESIGN.md §17): the conformance
 #                 suite stays green under a seeded wire-fault plan
@@ -64,8 +56,8 @@
 #                 checkpoint restore, a wedged (SIGSTOPped) rank is
 #                 detected by the heartbeat layer, the seeded wire plan
 #                 replays byte-identically, and the injection-disabled
-#                 CRC+heartbeat cost gates at <2% geomean on
-#                 bench_transport vs the committed baseline
+#                 CRC+heartbeat cost passes the transport gate on every
+#                 bench_transport row
 #   lint-smoke  — Release build of peachy-lint + test_lint; runs the rule
 #                 engine tests, requires the fixture corpus to produce
 #                 findings (the rules demonstrably fire), requires *zero*
@@ -75,12 +67,17 @@
 #                 bench, examples) with -Werror: a new compiler warning
 #                 fails the build instead of scrolling past
 #
-# Usage: scripts/check.sh [config ...]     (default: all twelve)
+# Every perf gate is defined once, in scripts/gates.sh, which
+# scripts/bench.sh runs too.
+#
+# Usage: scripts/check.sh [config ...]     (default: all eleven)
 
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
+# shellcheck source=scripts/gates.sh
+source "$ROOT/scripts/gates.sh"
 
 # configure <dir> <build-type> <bench> <tests> <examples> [extra cmake args...]
 # — one build tree; <bench>/<tests>/<examples> are ON or OFF.
@@ -129,35 +126,6 @@ print(f"schema OK: {path}: {len(doc['benchmarks'])} benchmarks, isa={doc['isa']}
 EOF
 }
 
-# Disabled-mode overhead gate: bench_kernels, per-row min of five passes,
-# at <2% geomean against the committed baseline.  $2 names the output.
-gate_bench_kernels() {
-  local dir="$1" fresh="$1/bench/BENCH_kernels_$2.json"
-  "$dir/bench/bench_kernels" --repeat 5 --out "$fresh"
-  python3 "$ROOT/scripts/bench_compare.py" \
-    "$ROOT/BENCH_kernels.json" "$fresh" --tolerance 0.02
-}
-
-# bench_transport at <2% geomean against the committed baseline.  The
-# gate compares floor estimates, and on a busy 1-core host the floor of
-# a SINGLE sweep drifts ±10-20% per row on minutes timescales (measured:
-# no inproc row stays within ±2% across five back-to-back best-of-9
-# sweeps, but the per-row min of any three consecutive sweeps does).
-# So: three sweeps, per-row min-merge, then the 2% geomean — the
-# bench_kernels --repeat min-merge trick, applied across whole runs
-# because the drift here outlives any one run.  A real regression
-# shifts every sweep's floor and still trips the gate.  $2 names the
-# outputs; further arguments (e.g. --filter) go to bench_compare.py.
-gate_bench_transport() {
-  local dir="$1" name="$2"
-  shift 2
-  for i in 1 2 3; do
-    "$dir/bench/bench_transport" --out "$dir/bench/$name.$i.json" --repeat 9
-  done
-  python3 "$ROOT/scripts/bench_compare.py" "$ROOT/BENCH_transport.json" \
-    "$dir/bench/$name".[123].json "$@" --tolerance 0.02
-}
-
 run_bench_smoke() {
   local dir="$ROOT/build-check-bench-smoke"
   echo "==== [bench-smoke] configure ===="
@@ -170,29 +138,6 @@ run_bench_smoke() {
   echo "==== [bench-smoke] validate JSON ===="
   validate_bench_json "$json" bench_kernels
   echo "==== [bench-smoke] OK ===="
-}
-
-run_bench_substrates_smoke() {
-  local dir="$ROOT/build-check-bench-smoke"
-  echo "==== [bench-substrates-smoke] configure ===="
-  configure "$dir" Release ON OFF OFF
-  echo "==== [bench-substrates-smoke] build ===="
-  cmake --build "$dir" --target bench_substrates -j "$JOBS"
-  echo "==== [bench-substrates-smoke] run (tiny) ===="
-  local json="$dir/bench/BENCH_substrates_smoke.json"
-  "$dir/bench/bench_substrates" --tiny --out "$json"
-  echo "==== [bench-substrates-smoke] validate JSON ===="
-  validate_bench_json "$json" bench_substrates '
-for want in ("allreduce", "allgather", "alltoall"):
-    for p in (2, 4, 8):
-        assert f"{want}_p{p}" in names, (want, p, names)
-assert any(n.startswith("mr_shuffle") for n in names), names'
-  echo "==== [bench-substrates-smoke] full-size perf gate ===="
-  local fresh="$dir/bench/BENCH_substrates_fresh.json"
-  "$dir/bench/bench_substrates" --out "$fresh"
-  python3 "$ROOT/scripts/bench_compare.py" \
-    "$ROOT/BENCH_substrates.json" "$fresh" --tolerance 0.15
-  echo "==== [bench-substrates-smoke] OK ===="
 }
 
 run_obs_smoke() {
@@ -238,7 +183,8 @@ print(f"trace OK: {len(events)} events, substrates={sorted(cats)}, "
       f"{len(doc['counters'])} counters")
 EOF
   echo "==== [obs-smoke] disabled-mode overhead gate ===="
-  gate_bench_kernels "$dir" obs
+  gate_sweep kernels "$dir" BENCH_kernels_obs
+  gate_compare kernels
   echo "==== [obs-smoke] OK ===="
 }
 
@@ -264,7 +210,8 @@ run_faults_smoke() {
   echo "==== [faults-smoke] recovery end-to-end (kmeans) ===="
   "$dir/examples/fault_demo" --mode=kmeans
   echo "==== [faults-smoke] disabled-mode overhead gate ===="
-  gate_bench_kernels "$dir" faults
+  gate_sweep kernels "$dir" BENCH_kernels_faults
+  gate_compare kernels
   echo "==== [faults-smoke] OK ===="
 }
 
@@ -329,7 +276,8 @@ assert doc["tiny"] is False, "committed baseline must be a full-size run"
 for backend in ("inproc", "shm", "socket"):
     assert f"pp_{backend}_8" in names, (backend, names)
     assert f"bw_{backend}_8" in names, (backend, names)
-    assert f"coll_allreduce_{backend}_256" in names, (backend, names)
+    for op in ("allreduce", "allgather", "alltoall"):
+        assert f"coll_{op}_{backend}_256" in names, (op, backend, names)
 for row in doc["benchmarks"]:
     if row["name"].startswith("bw_"):
         assert row.get("mb_s", 0) > 0, row'
@@ -349,14 +297,14 @@ assert doc["tiny"] is True
 backends = {n.split("_")[1] for n in (row["name"] for row in doc["benchmarks"])
             if n.startswith(("pp_", "bw_"))}
 assert backends == {"inproc", "shm", "socket"}, backends
+names = {row["name"] for row in doc["benchmarks"]}
+for backend in backends:
+    assert f"coll_alltoall_{backend}_32" in names, (backend, names)
 print(f"tiny sweep OK: {len(doc['benchmarks'])} benchmarks over {sorted(backends)}")
 EOF
   echo "==== [transport-bench-smoke] inproc regression gate ===="
-  # Gated on the inproc rows only: the wire fast paths ride the same seam
-  # the in-process backend does, and must cost it nothing.  (The
-  # shm/socket rows are tracked in EXPERIMENTS.md T-TRN-1, not gated —
-  # wire timings on shared CI hosts are too noisy for 2%.)
-  gate_bench_transport "$dir" BENCH_transport_fresh --filter '_inproc'
+  gate_sweep transport "$dir" BENCH_transport_fresh
+  gate_compare transport "$GATE_INPROC_ROWS"
   echo "==== [transport-bench-smoke] OK ===="
 }
 
@@ -422,7 +370,8 @@ run_chaos_smoke() {
   local bdir="$ROOT/build-check-bench-smoke"
   configure "$bdir" Release ON OFF OFF
   cmake --build "$bdir" --target bench_transport -j "$JOBS"
-  gate_bench_transport "$bdir" BENCH_transport_chaos
+  gate_sweep transport "$bdir" BENCH_transport_chaos
+  gate_compare transport
   echo "==== [chaos-smoke] OK ===="
 }
 
@@ -467,7 +416,7 @@ run_werror() {
 
 configs=("$@")
 if [ "${#configs[@]}" -eq 0 ]; then
-  configs=(asan-ubsan tsan analysis bench-smoke bench-substrates-smoke obs-smoke faults-smoke lint-smoke transport-smoke transport-bench-smoke chaos-smoke werror)
+  configs=(asan-ubsan tsan analysis bench-smoke obs-smoke faults-smoke lint-smoke transport-smoke transport-bench-smoke chaos-smoke werror)
 fi
 
 for cfg in "${configs[@]}"; do
@@ -476,7 +425,6 @@ for cfg in "${configs[@]}"; do
     tsan)        run_config tsan -DPEACHY_TSAN=ON ;;
     analysis)    run_config analysis -DPEACHY_ANALYSIS=ON ;;
     bench-smoke) run_bench_smoke ;;
-    bench-substrates-smoke) run_bench_substrates_smoke ;;
     obs-smoke)   run_obs_smoke ;;
     faults-smoke) run_faults_smoke ;;
     lint-smoke)  run_lint_smoke ;;
@@ -484,7 +432,7 @@ for cfg in "${configs[@]}"; do
     transport-bench-smoke) run_transport_bench_smoke ;;
     chaos-smoke) run_chaos_smoke ;;
     werror)      run_werror ;;
-    *) echo "unknown config '$cfg' (expected: asan-ubsan, tsan, analysis, bench-smoke, bench-substrates-smoke, obs-smoke, faults-smoke, lint-smoke, transport-smoke, transport-bench-smoke, chaos-smoke, werror)" >&2; exit 2 ;;
+    *) echo "unknown config '$cfg' (expected: asan-ubsan, tsan, analysis, bench-smoke, obs-smoke, faults-smoke, lint-smoke, transport-smoke, transport-bench-smoke, chaos-smoke, werror)" >&2; exit 2 ;;
   esac
 done
 

@@ -38,6 +38,21 @@ std::optional<int> frame_from(std::string_view s) noexcept {
   return std::nullopt;
 }
 
+// Whether `e` fires at `rank`'s `step`-th operation (for a wire event:
+// `rank` is the frame's source, `step` its count of frames of that type).  A
+// step-scoped event fires exactly at its step; otherwise the draw is a
+// pure function of (seed, kind, rank, step), so replay is schedule-
+// independent, and a wire event and a machine event at the same
+// (rank, step) draw independently because the kind is folded in.
+bool fires(std::uint64_t seed, const FaultEvent& e, int rank, std::uint64_t step) {
+  if (e.rank != kAnyScope && e.rank != rank) return false;
+  if (e.step != kAnyStep) return e.step == step;
+  rng::SplitMix64 g{rng::derive_seed(
+      seed, (static_cast<std::uint64_t>(e.kind) << 40) ^
+                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 44) ^ step)};
+  return g.next_double() < e.prob;
+}
+
 // Trim ASCII whitespace from both ends.
 std::string_view trim(std::string_view s) noexcept {
   while (!s.empty() && (s.front() == ' ' || s.front() == '\t' || s.front() == '\r')) {
@@ -213,18 +228,6 @@ FaultPlan& FaultPlan::add(const FaultEvent& e) {
 FaultInjector::FaultInjector(const FaultPlan& plan, int nranks)
     : plan_{plan}, steps_(static_cast<std::size_t>(nranks), 0) {}
 
-bool FaultInjector::fires(const FaultEvent& e, int rank, std::uint64_t step) const {
-  if (e.rank != kAnyScope && e.rank != rank) return false;
-  if (e.step != kAnyStep) return e.step == step;
-  // Probabilistic: a draw that is a pure function of (seed, kind, rank,
-  // step), so replay is schedule-independent.
-  rng::SplitMix64 g{rng::derive_seed(
-      plan_.seed(), (static_cast<std::uint64_t>(e.kind) << 40) ^
-                        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank)) << 44) ^
-                        step)};
-  return g.next_double() < e.prob;
-}
-
 void FaultInjector::record(FaultKind kind, int rank, std::uint64_t step, int dest, int tag) {
   if (obs::enabled()) {
     obs::counter("faults.injected." + std::string{to_string(kind)}).add(1);
@@ -242,7 +245,7 @@ SendAction FaultInjector::on_send(int source, int dest, int tag) {
         ((e.dest != kAnyScope && e.dest != dest) || (e.tag != kAnyScope && e.tag != tag))) {
       continue;
     }
-    if (!fires(e, source, step)) continue;
+    if (!fires(plan_.seed(), e, source, step)) continue;
     switch (e.kind) {
       case FaultKind::crash: a.crash = true; break;
       case FaultKind::drop: a.drop = true; break;
@@ -263,7 +266,7 @@ RecvAction FaultInjector::on_recv(int rank) {
   for (const FaultEvent& e : plan_.events()) {
     // Only rank-scoped kinds apply at a receive.
     if (e.kind != FaultKind::crash && e.kind != FaultKind::stall) continue;
-    if (!fires(e, rank, step)) continue;
+    if (!fires(plan_.seed(), e, rank, step)) continue;
     if (e.kind == FaultKind::crash) {
       a.crash = true;
     } else {
@@ -306,19 +309,6 @@ WireInjector::WireInjector(const FaultPlan& plan) : plan_{plan} {
   }
 }
 
-bool WireInjector::fires(const FaultEvent& e, int src, std::uint64_t step) const {
-  // Same pure-function-of-(seed, kind, src, step) scheme as FaultInjector —
-  // the kind is folded in, so a wire event and a machine event at the same
-  // (rank, step) draw independently.
-  if (e.rank != kAnyScope && e.rank != src) return false;
-  if (e.step != kAnyStep) return e.step == step;
-  rng::SplitMix64 g{rng::derive_seed(
-      plan_.seed(), (static_cast<std::uint64_t>(e.kind) << 40) ^
-                        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 44) ^
-                        step)};
-  return g.next_double() < e.prob;
-}
-
 WireAction WireInjector::on_frame(int src, int dst, int frame) {
   if (!armed_) return {};
   WireAction a;
@@ -333,7 +323,7 @@ WireAction WireInjector::on_frame(int src, int dst, int frame) {
     // (failed/revoke/bye) is chaos-tested on explicit frame= request only.
     if (e.frame == kAnyScope ? frame != kWireFrameData : e.frame != frame) continue;
     if (e.dest != kAnyScope && e.dest != dst) continue;
-    if (!fires(e, src, step)) continue;
+    if (!fires(plan_.seed(), e, src, step)) continue;
     switch (e.kind) {
       case FaultKind::wire_drop: a.drop = true; break;
       case FaultKind::wire_dup: a.duplicate = true; break;

@@ -231,7 +231,6 @@ class FaultInjector {
   [[nodiscard]] std::string log_string() const;
 
  private:
-  [[nodiscard]] bool fires(const FaultEvent& e, int rank, std::uint64_t step) const;
   void record(FaultKind kind, int rank, std::uint64_t step, int dest, int tag);
 
   const FaultPlan plan_;  ///< copied: the injector outlives caller-built plans
@@ -292,8 +291,6 @@ class WireInjector {
   [[nodiscard]] std::string log_string() const;
 
  private:
-  [[nodiscard]] bool fires(const FaultEvent& e, int src, std::uint64_t step) const;
-
   const FaultPlan plan_;
   bool armed_ = false;
   mutable std::mutex mu_;

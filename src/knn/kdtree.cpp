@@ -190,14 +190,7 @@ void KdTree::search(std::int32_t node_id, std::span<const double> q, std::size_t
       const Neighbor cand{kernels::squared_distance(pts + idx * dims, q.data(), dims), idx,
                           db_->labels[idx]};
       distance_evals_.fetch_add(1, std::memory_order_relaxed);
-      if (heap.size() < k) {
-        heap.push_back(cand);
-        std::push_heap(heap.begin(), heap.end());
-      } else if (cand < heap.front()) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = cand;
-        std::push_heap(heap.begin(), heap.end());
-      }
+      push_bounded(heap, k, cand);
     }
     return;
   }

@@ -41,9 +41,8 @@ std::vector<Neighbor> query_sort(const data::LabeledPoints& db, std::span<const 
 std::vector<Neighbor> query_heap(const data::LabeledPoints& db, std::span<const double> query,
                                  std::size_t k) {
   validate(db, query, k);
-  // Max-heap of the best k so far: the root is the worst of the best, so
-  // a new candidate replaces it in O(log k).  Distances are computed a
-  // chunk at a time through the rows kernel so the heap bookkeeping
+  // Max-heap of the best k so far (push_bounded).  Distances are computed
+  // a chunk at a time through the rows kernel so the heap bookkeeping
   // stays interleaved with vectorized batches.
   constexpr std::size_t kChunk = 256;
   std::vector<double> d2(std::min<std::size_t>(kChunk, db.size()));
@@ -55,15 +54,7 @@ std::vector<Neighbor> query_heap(const data::LabeledPoints& db, std::span<const 
                                     db.dims(), query.data(), d2.data());
     for (std::size_t r = 0; r < len; ++r) {
       const std::size_t i = base + r;
-      const Neighbor cand{d2[r], static_cast<std::uint32_t>(i), db.labels[i]};
-      if (heap.size() < k) {
-        heap.push_back(cand);
-        std::push_heap(heap.begin(), heap.end());
-      } else if (cand < heap.front()) {
-        std::pop_heap(heap.begin(), heap.end());
-        heap.back() = cand;
-        std::push_heap(heap.begin(), heap.end());
-      }
+      push_bounded(heap, k, {d2[r], static_cast<std::uint32_t>(i), db.labels[i]});
     }
   }
   std::sort_heap(heap.begin(), heap.end());

@@ -3,7 +3,10 @@
 /// \brief Shared kNN value types (used by both the brute-force strategies
 /// and the k-d tree without a circular include).
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace peachy::knn {
 
@@ -19,5 +22,19 @@ struct Neighbor {
   }
   friend bool operator==(const Neighbor&, const Neighbor&) = default;
 };
+
+/// Offer `cand` to `heap`, a max-heap of the best `k` so far: the root is
+/// the worst of the best, so a better candidate replaces it in O(log k).
+/// Strictly better only — an equal candidate never evicts the root.
+inline void push_bounded(std::vector<Neighbor>& heap, std::size_t k, const Neighbor& cand) {
+  if (heap.size() < k) {
+    heap.push_back(cand);
+    std::push_heap(heap.begin(), heap.end());
+  } else if (cand < heap.front()) {
+    std::pop_heap(heap.begin(), heap.end());
+    heap.back() = cand;
+    std::push_heap(heap.begin(), heap.end());
+  }
+}
 
 }  // namespace peachy::knn

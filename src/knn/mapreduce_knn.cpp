@@ -63,16 +63,9 @@ std::vector<std::int32_t> mapreduce_classify(mpi::Comm& comm, const data::Labele
         std::vector<Neighbor> best;
         best.reserve(opts.k + 1);
         for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          const Neighbor cand{db.points.squared_distance(i, q),
-                              static_cast<std::uint32_t>(i), db.labels[i]};
-          if (best.size() < opts.k) {
-            best.push_back(cand);
-            std::push_heap(best.begin(), best.end());
-          } else if (cand < best.front()) {
-            std::pop_heap(best.begin(), best.end());
-            best.back() = cand;
-            std::push_heap(best.begin(), best.end());
-          }
+          push_bounded(best, opts.k,
+                       {db.points.squared_distance(i, q), static_cast<std::uint32_t>(i),
+                        db.labels[i]});
         }
         for (const Neighbor& nb : best) {
           out.emit_record(key, Candidate{nb.dist2, nb.index, nb.label});

@@ -486,7 +486,7 @@ TEST(WireChaosShm, TruncatedFrameZerosTheTailAndFailsCrc) {
   // The shm ring has no short writes: "truncated" means the tail never
   // made it (zeros where content should be), and only the CRC can tell.
   // (The socket twin desyncs the byte stream instead — that teardown path
-  // is exercised by scripts/check.sh chaos-smoke, not in-process.)
+  // is exercised by WireChaosSocket.TruncatedFrameDesyncsTheStream..., below.)
   const auto plan = pf::FaultPlan::parse("wire_truncate@rank=0,step=0");
   pm::RunOptions o;
   o.transport = pm::TransportKind::kShm;
