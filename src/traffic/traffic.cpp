@@ -1,6 +1,7 @@
 #include "traffic/traffic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <string>
 
@@ -48,9 +49,20 @@ State initial_state(const Spec& spec) {
                            rng::uniform_below(gen, spec.road_length - i));
     std::swap(cells[i], cells[j]);
   }
+  // The chosen cells are distinct, so marking them in a bitmap and
+  // scanning it lists them in ascending order without a sort.
+  std::vector<std::uint64_t> marked((spec.road_length + 63) / 64);
+  for (std::size_t i = 0; i < spec.cars; ++i) {
+    const auto c = static_cast<std::size_t>(cells[i]);
+    marked[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
   State st;
-  st.pos.assign(cells.begin(), cells.begin() + static_cast<std::ptrdiff_t>(spec.cars));
-  std::sort(st.pos.begin(), st.pos.end());
+  st.pos.reserve(spec.cars);
+  for (std::size_t w = 0; w < marked.size(); ++w) {
+    for (std::uint64_t bits = marked[w]; bits != 0; bits &= bits - 1) {
+      st.pos.push_back(static_cast<std::int64_t>(w * 64) + std::countr_zero(bits));
+    }
+  }
   st.vel.assign(spec.cars, 0);
   return st;
 }
@@ -94,15 +106,14 @@ void commit_step(const Spec& spec, State& state, std::vector<std::int64_t>& next
   }
   state.pos.swap(next_pos);
   // Keep car 0 the minimum position so the index order always equals the
-  // ascending-position order.  Cars cannot overtake, so after a step the
-  // array is a rotation of a sorted array (only the last car can wrap:
-  // every other car brakes to a gap that ends before the car ahead);
-  // rotate the unique minimum back to the front.
-  if (n < 2) return;
-  const auto k = std::min_element(state.pos.begin(), state.pos.end()) - state.pos.begin();
-  if (k == 0) return;
-  std::rotate(state.pos.begin(), state.pos.begin() + k, state.pos.end());
-  std::rotate(state.vel.begin(), state.vel.begin() + k, state.vel.end());
+  // ascending-position order.  Every car but the last brakes to a gap
+  // that ends before the car ahead, so only the last car can wrap; when
+  // it does it is the new minimum, and one rotation right by one puts it
+  // (with its velocity) in front.
+  if (n >= 2 && state.pos[n - 1] < state.pos[0]) {
+    std::rotate(state.pos.begin(), state.pos.end() - 1, state.pos.end());
+    std::rotate(state.vel.begin(), state.vel.end() - 1, state.vel.end());
+  }
 }
 
 void step_reference(const Spec& spec, State& state, const rng::SharedStream<rng::Lcg64>& stream,

@@ -61,8 +61,11 @@ struct State {
 };
 
 /// Initial configuration: cars on distinct cells (uniformly chosen via a
-/// seeded shuffle), sorted ascending, all velocities 0.  Deterministic in
-/// spec.seed; consumes no draws from the simulation stream.
+/// seeded partial Fisher–Yates shuffle), ascending, all velocities 0.
+/// The chosen cells are marked in a bitmap of ⌈L/64⌉ words, and a scan
+/// of its set bits lists them in ascending order, with no sort.
+/// Deterministic in spec.seed; consumes no draws from the simulation
+/// stream.
 [[nodiscard]] State initial_state(const Spec& spec);
 
 /// Gap (empty cells) in front of car i in the current state.
@@ -81,8 +84,11 @@ void advance_block(const Spec& spec, const State& state, std::size_t lo, std::si
 /// as the car's displacement mod road_length — a displacement outside
 /// [0, v_max] is a named "traffic exchange" error, never a silently wrong
 /// state — swaps `next_pos` into `state` (it comes back holding the old
-/// positions, ready to be refilled) and rotates the arrays so index order
-/// is ascending-position order again.
+/// positions, ready to be refilled) and restores ascending-position
+/// order.  Only the last car can wrap in a step (every other car brakes
+/// to a gap that ends before the car ahead), so the rotation is by 0 or
+/// 1: when the last position is below the first, the arrays rotate right
+/// by one and the wrapped car, with its velocity, becomes car 0.
 void commit_step(const Spec& spec, State& state, std::vector<std::int64_t>& next_pos,
                  std::size_t step);
 

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <numeric>
 #include <ostream>
 #include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "rng/distributions.hpp"
+#include "rng/splitmix.hpp"
 #include "support/check.hpp"
 #include "traffic/diagram.hpp"
 #include "traffic/grid.hpp"
@@ -77,6 +81,51 @@ TEST(TrafficInit, RejectsBadSpecs) {
   EXPECT_THROW((void)tr::initial_state(spec), peachy::Error);
 }
 
+namespace {
+
+/// The reference for initial_state: the same seeded partial Fisher–Yates,
+/// then std::sort of the chosen cells.  The bitmap scan must reproduce it
+/// exactly, since every driver and every oracle (run_serial, run_grid)
+/// starts from initial_state and would agree with a wrong one.
+tr::State sorted_fisher_yates(const tr::Spec& spec) {
+  std::vector<std::int64_t> cells(spec.road_length);
+  std::iota(cells.begin(), cells.end(), 0);
+  peachy::rng::SplitMix64 gen{peachy::rng::derive_seed(spec.seed, 0xCA25u)};
+  for (std::size_t i = 0; i < spec.cars; ++i) {
+    const auto j = i + static_cast<std::size_t>(
+                           peachy::rng::uniform_below(gen, spec.road_length - i));
+    std::swap(cells[i], cells[j]);
+  }
+  tr::State st;
+  st.pos.assign(cells.begin(), cells.begin() + static_cast<std::ptrdiff_t>(spec.cars));
+  std::sort(st.pos.begin(), st.pos.end());
+  st.vel.assign(spec.cars, 0);
+  return st;
+}
+
+}  // namespace
+
+TEST(TrafficInit, BitmapScanMatchesTheSortedFisherYates) {
+  const struct {
+    std::size_t road_length;
+    std::size_t cars;
+  } roads[] = {
+      {1, 1},   {10, 10}, {64, 64}, {130, 130}, {1000, 1},
+      {63, 20}, {63, 63}, {64, 1},  {64, 33},   {65, 1},
+      {65, 40}, {65, 65}, {130, 7}, {130, 129}, {1'000'000, 200'000},  // traffic-socket's size
+  };
+  for (const auto& r : roads) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      tr::Spec spec;
+      spec.road_length = r.road_length;
+      spec.cars = r.cars;
+      spec.seed = seed;
+      EXPECT_EQ(tr::initial_state(spec), sorted_fisher_yates(spec))
+          << "L=" << r.road_length << " cars=" << r.cars << " seed=" << seed;
+    }
+  }
+}
+
 TEST(TrafficGap, WrapAroundComputed) {
   tr::Spec spec;
   spec.road_length = 100;
@@ -86,6 +135,78 @@ TEST(TrafficGap, WrapAroundComputed) {
   st.vel = {0, 0};
   EXPECT_EQ(tr::gap_ahead(spec, st, 0), 79);  // 10 -> 90
   EXPECT_EQ(tr::gap_ahead(spec, st, 1), 19);  // 90 -> 10 (wrap)
+}
+
+// ---- commit_step on hand-built states ----------------------------------------------
+
+namespace {
+
+tr::Spec road(std::size_t road_length, std::size_t cars) {
+  tr::Spec spec;
+  spec.road_length = road_length;
+  spec.cars = cars;
+  return spec;  // v_max 5
+}
+
+}  // namespace
+
+TEST(TrafficCommitStep, NoWrapLeavesTheOrderAlone) {
+  const auto spec = road(20, 3);
+  tr::State st{{2, 5, 9}, {1, 0, 4}};
+  std::vector<std::int64_t> next{3, 7, 10};
+  tr::commit_step(spec, st, next, 0);
+  EXPECT_EQ(st, (tr::State{{3, 7, 10}, {1, 2, 1}}));
+  EXPECT_EQ(next, (std::vector<std::int64_t>{2, 5, 9}));  // the old positions, to refill
+}
+
+TEST(TrafficCommitStep, WrappingLastCarLandsInFrontWithItsVelocity) {
+  const auto spec = road(20, 4);
+  tr::State st{{2, 5, 11, 18}, {0, 0, 0, 0}};
+  std::vector<std::int64_t> next{4, 6, 11, 1};  // car 3 moves 3 cells across the end
+  tr::commit_step(spec, st, next, 0);
+  EXPECT_EQ(st, (tr::State{{1, 4, 6, 11}, {3, 2, 1, 0}}));
+}
+
+TEST(TrafficCommitStep, OneCarNeverRotates) {
+  const auto spec = road(10, 1);
+  tr::State st{{8}, {3}};
+  std::vector<std::int64_t> next{2};  // wraps: 8 + 4 - 10
+  tr::commit_step(spec, st, next, 0);
+  EXPECT_EQ(st, (tr::State{{2}, {4}}));
+  next = {5};
+  tr::commit_step(spec, st, next, 1);
+  EXPECT_EQ(st, (tr::State{{5}, {3}}));
+}
+
+TEST(TrafficCommitStep, TwoCarsSecondWraps) {
+  const auto spec = road(10, 2);
+  tr::State st{{3, 9}, {0, 0}};
+  std::vector<std::int64_t> next{4, 2};  // car 1 moves 3 cells across the end
+  tr::commit_step(spec, st, next, 0);
+  EXPECT_EQ(st, (tr::State{{2, 4}, {3, 1}}));
+}
+
+TEST(TrafficCommitStep, FullRoadOfStoppedCarsStaysPut) {
+  const auto spec = road(5, 5);
+  tr::State st{{0, 1, 2, 3, 4}, {0, 0, 0, 0, 0}};
+  std::vector<std::int64_t> next = st.pos;
+  tr::commit_step(spec, st, next, 0);
+  EXPECT_EQ(st, (tr::State{{0, 1, 2, 3, 4}, {0, 0, 0, 0, 0}}));
+}
+
+TEST(TrafficCommitStep, DisplacementAboveVmaxIsANamedError) {
+  const auto spec = road(20, 3);
+  tr::State st{{2, 5, 9}, {0, 0, 0}};
+  std::vector<std::int64_t> next{3, 12, 10};  // car 1 moves 7 > v_max 5
+  try {
+    tr::commit_step(spec, st, next, 4);
+    FAIL() << "commit_step accepted a displacement above v_max";
+  } catch (const peachy::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("traffic exchange: car 1 moved 7 cells in step 4 (v_max 5)"),
+              std::string::npos)
+        << what;
+  }
 }
 
 // ---- physics ------------------------------------------------------------------------
