@@ -96,7 +96,7 @@ void run_all(bool tiny) {
 
   // The fused k-means assignment step (argmin + sums/counts), the
   // k-means/kNN hot path, at the assignment-typical and
-  // acceptance-criterion dimensions.
+  // acceptance-criterion dimensions; then the bounded scan's kernel.
   for (const std::size_t d : {2ul, 8ul, 32ul}) {
     const std::size_t n = tiny ? 64 : 20000;
     const std::size_t k = tiny ? 5 : 64;
@@ -136,6 +136,25 @@ void run_all(bool tiny) {
                                                           panel.data(), k, panel.padded,
                                                           assign.data(), sums.data(),
                                                           counts.data()));
+        });
+
+    // The bounded k-means scan (nearest and second-nearest centroid over
+    // a row list) at the same shape, every row listed.
+    std::vector<std::int32_t> rows(n);
+    for (std::size_t i = 0; i < n; ++i) rows[i] = static_cast<std::int32_t>(i);
+    ps::aligned_vector<double> best(n), second(n);
+    bench(
+        "argmin2_rows_d" + std::to_string(d), shape, n, reps, 1,
+        [&] {
+          g_sink += static_cast<double>(pk::ref::argmin2_rows(
+              pts.values().data(), rows.data(), n, d, panel.data(), k, panel.padded,
+              assign.data(), best.data(), second.data()));
+        },
+        [&] {
+          g_sink += static_cast<double>(pk::argmin2_rows(pts.values().data(), rows.data(), n,
+                                                         d, panel.data(), k, panel.padded,
+                                                         assign.data(), best.data(),
+                                                         second.data()));
         });
   }
 

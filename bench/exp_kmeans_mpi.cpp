@@ -43,18 +43,17 @@ int main(int argc, char** argv) {
   peachy::support::Table table;
   table.header({"ranks", "ms", "messages", "bytes", "bytes/iter/rank", "matches serial"});
   for (const int ranks : {1, 2, 4, 8}) {
-    peachy::kmeans::MpiKmeansStats stats;
     peachy::kmeans::Result res;
     peachy::support::Stopwatch sw;
-    peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
-      peachy::kmeans::MpiKmeansStats local;  // stats are rank-local
-      auto got = peachy::kmeans::cluster_mpi(
-          comm, comm.rank() == 0 ? points : peachy::data::PointSet{}, opts, &local);
-      if (comm.rank() == 0) {
-        res = std::move(got);
-        stats = local;
-      }
-    });
+    // The world's totals once every rank has finished.  (MpiKmeansStats is
+    // filled by rank 0 as it returns, while other ranks may still be
+    // sending, so its counts can fall a few messages short.)
+    const peachy::mpi::TrafficStats stats =
+        peachy::mpi::run(ranks, [&](peachy::mpi::Comm& comm) {
+          auto got = peachy::kmeans::cluster_mpi(
+              comm, comm.rank() == 0 ? points : peachy::data::PointSet{}, opts);
+          if (comm.rank() == 0) res = std::move(got);
+        });
     const double per_iter_rank = static_cast<double>(stats.bytes) /
                                  static_cast<double>(iters) / static_cast<double>(ranks);
     table.row({static_cast<std::int64_t>(ranks), sw.elapsed_ms(),

@@ -64,6 +64,9 @@ class PointSet {
     return values_;
   }
 
+  /// The same storage, writable in place (e.g. to receive rows into it).
+  [[nodiscard]] std::span<double> mutable_values() noexcept { return values_; }
+
   /// Build the SoA-transposed panel of these points for the batched
   /// distance kernels (centroid role: k-means calls this per iteration
   /// on the current centroids).

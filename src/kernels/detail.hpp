@@ -27,6 +27,9 @@ std::size_t argmin_batch(const double* q, std::size_t d, const double* panel, st
 std::size_t argmin_assign(const double* pts, std::size_t n, std::size_t d, const double* panel,
                           std::size_t k, std::size_t kp, std::int32_t* assignment, double* sums,
                           std::int64_t* counts);
+std::size_t argmin2_rows(const double* pts, const std::int32_t* rows, std::size_t m,
+                         std::size_t d, const double* panel, std::size_t k, std::size_t kp,
+                         std::int32_t* assignment, double* best_d2, double* second_d2);
 void stencil_row(double* dst, const double* src, std::size_t n, double alpha);
 void gemm_block(const double* a, const double* b, double* c, std::size_t n, std::size_t k,
                 std::size_t m);

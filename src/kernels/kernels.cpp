@@ -153,6 +153,19 @@ std::size_t argmin_assign(const double* pts, std::size_t n, std::size_t d, const
   return ref::argmin_assign(pts, n, d, panel, k, kp, assignment, sums, counts);
 }
 
+std::size_t argmin2_rows(const double* pts, const std::int32_t* rows, std::size_t m,
+                         std::size_t d, const double* panel, std::size_t k, std::size_t kp,
+                         std::int32_t* assignment, double* best_d2, double* second_d2) {
+  PEACHY_KERN_COUNT("argmin2_rows");
+#if PEACHY_HAVE_AVX2
+  if (current_isa() == Isa::kAvx2) {
+    return detail::avx2::argmin2_rows(pts, rows, m, d, panel, k, kp, assignment, best_d2,
+                                      second_d2);
+  }
+#endif
+  return ref::argmin2_rows(pts, rows, m, d, panel, k, kp, assignment, best_d2, second_d2);
+}
+
 void stencil_row(double* dst, const double* src, std::size_t n, double alpha) {
   PEACHY_KERN_COUNT("stencil_row");
 #if PEACHY_HAVE_AVX2

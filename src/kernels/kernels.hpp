@@ -39,7 +39,10 @@
 ///
 /// **Argmin semantics.**  Smallest distance wins; ties break to the lower
 /// centroid index; NaN distances compare as +infinity (never selected; an
-/// all-NaN row returns index 0).
+/// all-NaN row returns index 0).  The second-best distance of
+/// argmin2_rows is the smallest distance among every centroid except the
+/// winner, under the same NaN rule — so a tie for best makes it equal to
+/// the best, and k = 1 (or a row with no finite distance) gives +infinity.
 ///
 /// The module depends only on peachy::support and takes raw pointers, so
 /// higher layers (data, kmeans, knn, heat, nn) can layer container types
@@ -124,6 +127,19 @@ std::size_t argmin_assign(const double* pts, std::size_t n, std::size_t d,
                           const double* panel, std::size_t k, std::size_t kp,
                           std::int32_t* assignment, double* sums, std::int64_t* counts);
 
+/// Nearest and second-nearest panel centroid for a list of rows of the
+/// row-major point matrix pts (Hamerly-bounded k-means scans only the
+/// rows its bounds cannot clear).  For each r = rows[i], i < m: sets
+/// assignment[r] to the nearest centroid, best_d2[r] to its distance and
+/// second_d2[r] to the second-best distance (argmin semantics in the file
+/// comment).  Every distance is argmin_batch's ascending-dimension chain,
+/// so best index and best distance are argmin_batch's, bit for bit.
+/// Rows may repeat or come in any order.  Returns the number of listed
+/// rows whose assignment changed.
+std::size_t argmin2_rows(const double* pts, const std::int32_t* rows, std::size_t m,
+                         std::size_t d, const double* panel, std::size_t k, std::size_t kp,
+                         std::int32_t* assignment, double* best_d2, double* second_d2);
+
 // ---- stencil ----------------------------------------------------------------------
 
 /// Explicit heat update over a contiguous row with no per-element bounds
@@ -157,6 +173,9 @@ void axpy(double* y, const double* x, double a, std::size_t n);
 std::size_t argmin_assign(const double* pts, std::size_t n, std::size_t d,
                           const double* panel, std::size_t k, std::size_t kp,
                           std::int32_t* assignment, double* sums, std::int64_t* counts);
+std::size_t argmin2_rows(const double* pts, const std::int32_t* rows, std::size_t m,
+                         std::size_t d, const double* panel, std::size_t k, std::size_t kp,
+                         std::int32_t* assignment, double* best_d2, double* second_d2);
 void stencil_row(double* dst, const double* src, std::size_t n, double alpha);
 void gemm_block(const double* a, const double* b, double* c, std::size_t n, std::size_t k,
                 std::size_t m);

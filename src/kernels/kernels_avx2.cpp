@@ -153,6 +153,116 @@ std::size_t argmin_assign(const double* pts, std::size_t n, std::size_t d, const
   return changes;
 }
 
+namespace {
+
+/// Per-lane running state of the two-point argmin: lane l of group g is
+/// centroid g*kPanelLane + l, so each lane keeps the best and second-best
+/// distance over its own centroids and the group of its best.
+struct Top2 {
+  __m256d best = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  __m256d second = best;
+  __m256d group = _mm256_setzero_pd();
+};
+
+/// Fold one group's distances into the lanes, in ascending group order.
+/// Strict _CMP_LT_OQ is false on NaN and on ties, so NaN never enters and
+/// an equal later group cannot displace the earlier (lower) index; a value
+/// that loses to the best may still take the second slot.
+[[gnu::always_inline]] inline void fold(Top2& t, __m256d v, double g) {
+  const __m256d lt_best = _mm256_cmp_pd(v, t.best, _CMP_LT_OQ);
+  const __m256d lt_second = _mm256_cmp_pd(v, t.second, _CMP_LT_OQ);
+  t.second = _mm256_blendv_pd(_mm256_blendv_pd(t.second, v, lt_second), t.best, lt_best);
+  t.best = _mm256_blendv_pd(t.best, v, lt_best);
+  t.group = _mm256_blendv_pd(t.group, _mm256_set1_pd(g), lt_best);
+}
+
+/// Fold groups [g, g + G) for two points at once: 2×G independent
+/// accumulator chains share each panel load and each broadcast.  Per lane
+/// each chain is group_distances' ascending-j running sum.
+template <std::size_t G>
+[[gnu::always_inline]] inline void fold_groups(const double* q0, const double* q1,
+                                               std::size_t d, const double* panel,
+                                               std::size_t g, Top2& t0, Top2& t1) {
+  __m256d a0[G], a1[G];
+  for (std::size_t gg = 0; gg < G; ++gg) a0[gg] = a1[gg] = _mm256_setzero_pd();
+  const double* grp = panel + g * d * kPanelLane;
+  for (std::size_t j = 0; j < d; ++j) {
+    const __m256d x0 = _mm256_set1_pd(q0[j]);
+    const __m256d x1 = _mm256_set1_pd(q1[j]);
+    for (std::size_t gg = 0; gg < G; ++gg) {
+      const __m256d c = _mm256_loadu_pd(grp + (gg * d + j) * kPanelLane);
+      const __m256d d0 = _mm256_sub_pd(x0, c);
+      const __m256d d1 = _mm256_sub_pd(x1, c);
+      a0[gg] = _mm256_add_pd(a0[gg], _mm256_mul_pd(d0, d0));
+      a1[gg] = _mm256_add_pd(a1[gg], _mm256_mul_pd(d1, d1));
+    }
+  }
+  for (std::size_t gg = 0; gg < G; ++gg) {
+    fold(t0, a0[gg], static_cast<double>(g + gg));
+    fold(t1, a1[gg], static_cast<double>(g + gg));
+  }
+}
+
+/// Minimum over the four lanes, broadcast to every lane.  Only ever fed
+/// NaN-free values, so _mm256_min_pd's NaN asymmetry never applies.
+[[gnu::always_inline]] inline __m256d lane_min(__m256d v) {
+  v = _mm256_min_pd(v, _mm256_permute2f128_pd(v, v, 1));
+  return _mm256_min_pd(v, _mm256_permute_pd(v, 0b0101));
+}
+
+/// The one cross-lane pick, branch-free: the smallest lane best wins, ties
+/// to the lowest centroid index; when no lane holds a finite distance every
+/// lane still has group 0 and +inf, so index 0 wins with +inf.  The
+/// runner-up is the minimum over the lanes after the winning lane's best
+/// is replaced by its own second-best.  Returns the index and writes both
+/// distances.
+[[gnu::always_inline]] inline std::size_t pick(const Top2& t, double& best_out,
+                                               double& second_out) {
+  const __m256d index = _mm256_add_pd(_mm256_mul_pd(t.group, _mm256_set1_pd(kPanelLane)),
+                                      _mm256_set_pd(3.0, 2.0, 1.0, 0.0));
+  const __m256d best = lane_min(t.best);
+  const __m256d at_best = _mm256_cmp_pd(t.best, best, _CMP_EQ_OQ);
+  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d best_index = lane_min(_mm256_blendv_pd(inf, index, at_best));
+  const __m256d winner = _mm256_cmp_pd(index, best_index, _CMP_EQ_OQ);
+  best_out = _mm256_cvtsd_f64(best);
+  second_out = _mm256_cvtsd_f64(lane_min(_mm256_blendv_pd(t.best, t.second, winner)));
+  return static_cast<std::size_t>(_mm256_cvtsd_f64(best_index));
+}
+
+}  // namespace
+
+std::size_t argmin2_rows(const double* pts, const std::int32_t* rows, std::size_t m,
+                         std::size_t d, const double* panel, std::size_t /*k*/, std::size_t kp,
+                         std::int32_t* assignment, double* best_d2, double* second_d2) {
+  // Padded lanes (index >= k) hold +inf coordinates: their distances are
+  // +inf or NaN, which never enter a lane's best or second slot, so the
+  // vector path needs no mask.  An odd last row is paired with itself.
+  constexpr std::size_t kGroups = 2;  // groups per panel pass (2 points × 2 groups)
+  const std::size_t groups = kp / kPanelLane;
+  std::size_t changes = 0;
+  const auto emit = [&](std::size_t r, const Top2& t) {
+    const auto best = static_cast<std::int32_t>(pick(t, best_d2[r], second_d2[r]));
+    if (assignment[r] != best) {
+      assignment[r] = best;
+      ++changes;
+    }
+  };
+  for (std::size_t i = 0; i < m; i += 2) {
+    const auto r0 = static_cast<std::size_t>(rows[i]);
+    const auto r1 = static_cast<std::size_t>(rows[i + 1 < m ? i + 1 : i]);
+    Top2 t0, t1;
+    std::size_t g = 0;
+    for (; g + kGroups <= groups; g += kGroups) {
+      fold_groups<kGroups>(pts + r0 * d, pts + r1 * d, d, panel, g, t0, t1);
+    }
+    for (; g < groups; ++g) fold_groups<1>(pts + r0 * d, pts + r1 * d, d, panel, g, t0, t1);
+    emit(r0, t0);
+    if (i + 1 < m) emit(r1, t1);
+  }
+  return changes;
+}
+
 void stencil_row(double* dst, const double* src, std::size_t n, double alpha) {
   const __m256d av = _mm256_set1_pd(alpha);
   const __m256d two = _mm256_set1_pd(2.0);

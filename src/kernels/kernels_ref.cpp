@@ -121,6 +121,48 @@ std::size_t argmin_assign(const double* pts, std::size_t n, std::size_t d, const
   return changes;
 }
 
+std::size_t argmin2_rows(const double* pts, const std::int32_t* rows, std::size_t m,
+                         std::size_t d, const double* panel, std::size_t k, std::size_t kp,
+                         std::int32_t* assignment, double* best_d2, double* second_d2) {
+  // argmin_batch's scan, also keeping the runner-up: a value that does not
+  // beat the best (a tie included) may still beat the second.  NaN and
+  // +inf never enter either slot, and neither do the padded lanes.
+  std::size_t changes = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto r = static_cast<std::size_t>(rows[i]);
+    const double* q = pts + r * d;
+    double best = std::numeric_limits<double>::infinity();
+    double second = best;
+    std::size_t best_idx = 0;
+    for (std::size_t g = 0; g * kPanelLane < kp; ++g) {
+      const double* grp = panel + g * d * kPanelLane;
+      for (std::size_t lane = 0; lane < kPanelLane; ++lane) {
+        const std::size_t c = g * kPanelLane + lane;
+        if (c >= k) break;
+        double acc = 0.0;
+        for (std::size_t j = 0; j < d; ++j) {
+          const double diff = q[j] - grp[j * kPanelLane + lane];
+          acc += diff * diff;
+        }
+        if (acc < best) {
+          second = best;
+          best = acc;
+          best_idx = c;
+        } else if (acc < second) {
+          second = acc;
+        }
+      }
+    }
+    if (assignment[r] != static_cast<std::int32_t>(best_idx)) {
+      assignment[r] = static_cast<std::int32_t>(best_idx);
+      ++changes;
+    }
+    best_d2[r] = best;
+    second_d2[r] = second;
+  }
+  return changes;
+}
+
 void stencil_row(double* dst, const double* src, std::size_t n, double alpha) {
   // Fixed association: (left - 2*mid) + right, then one multiply-add.
   for (std::size_t i = 0; i < n; ++i) {

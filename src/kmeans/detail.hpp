@@ -20,9 +20,11 @@ void validate(const data::PointSet& points, const Options& opts);
 /// apply the assignment's three thresholds in order — changed points <=
 /// min_changes, largest centroid move <= move_tolerance, max_iterations
 /// reached.  Returns true, with res.termination set, when the main loop
-/// must stop; the loop therefore never runs past max_iterations.
+/// must stop; the loop therefore never runs past max_iterations.  A
+/// non-empty `moves` (k entries) receives each centroid's displacement
+/// (0 for an empty cluster), for drivers that keep distance bounds.
 bool end_iteration(const Options& opts, std::size_t changes, std::span<const double> sums,
                    std::span<const std::int64_t> counts, data::PointSet& centroids,
-                   Result& res);
+                   Result& res, std::span<double> moves = {});
 
 }  // namespace peachy::kmeans::detail

@@ -34,7 +34,7 @@ void validate(const data::PointSet& points, const Options& opts) {
 
 bool end_iteration(const Options& opts, std::size_t changes, std::span<const double> sums,
                    std::span<const std::int64_t> counts, data::PointSet& centroids,
-                   Result& res) {
+                   Result& res, std::span<double> moves) {
   res.changes_per_iteration.push_back(changes);
 
   // Phase 2: new centroid positions and the largest displacement.
@@ -42,6 +42,7 @@ bool end_iteration(const Options& opts, std::size_t changes, std::span<const dou
   const std::size_t d = centroids.dims();
   double max_move2 = 0.0;
   for (std::size_t c = 0; c < k; ++c) {
+    if (!moves.empty()) moves[c] = 0.0;
     if (counts[c] == 0) continue;
     double move2 = 0.0;
     for (std::size_t j = 0; j < d; ++j) {
@@ -50,6 +51,7 @@ bool end_iteration(const Options& opts, std::size_t changes, std::span<const dou
       move2 += diff * diff;
       centroids.at(c, j) = nv;
     }
+    if (!moves.empty()) moves[c] = std::sqrt(move2);
     max_move2 = std::max(max_move2, move2);
   }
   const double max_move = std::sqrt(max_move2);

@@ -75,7 +75,10 @@ enum class Variant { kCritical, kAtomic, kReduction, kReductionPadded };
                                            std::span<const double> point);
 
 /// The intentionally understandable sequential reference (the starter
-/// code students receive).
+/// code students receive).  It is also the unbounded oracle: every
+/// iteration scans every point with kernels::argmin_assign, with no
+/// distance bounds, so it shares no skipping logic with the bounded
+/// cluster_mpi that tests and bench_e2e check against it.
 [[nodiscard]] Result cluster_sequential(const data::PointSet& points, const Options& opts);
 
 /// Shared-memory parallel clustering in the chosen strategy stage, on

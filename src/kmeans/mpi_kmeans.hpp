@@ -8,8 +8,16 @@
 ///
 /// Root scatters the points in static blocks; every rank holds the (small)
 /// centroid array.  Each iteration computes local sums/counts/changes and
-/// allreduces them — the distributed analogue of the OpenMP reduction
+/// allreduces them in two reductions (sums; counts with the change count
+/// as element k) — the distributed analogue of the OpenMP reduction
 /// stage.  Assignments are gathered back to root at the end and broadcast.
+///
+/// The local assignment keeps Hamerly bounds per point (an upper bound on
+/// the distance to its own centroid, a lower bound on the distance to any
+/// other) and rescans, with kernels::argmin2_rows, only the points whose
+/// bounds cannot prove the nearest centroid unchanged.  Every point still
+/// adds to the sums in point order, so each rank's assignments, sums and
+/// change count are those of the unbounded argmin_assign scan, bit for bit.
 
 #include "data/points.hpp"
 #include "faults/checkpoint.hpp"

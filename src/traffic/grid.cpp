@@ -1,22 +1,40 @@
 #include "traffic/grid.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "support/check.hpp"
 
 namespace peachy::traffic {
 
 State run_grid(const Spec& spec, std::size_t steps) {
-  // Build the grid from the canonical initial state.
-  State init = initial_state(spec);
+  return run_grid(spec, initial_state(spec), steps);
+}
+
+State run_grid(const Spec& spec, const State& init, std::size_t steps) {
+  PEACHY_CHECK(spec.road_length >= 1, "grid: empty road");
+  PEACHY_CHECK(init.vel.size() == init.pos.size(),
+               "grid: initial state has " + std::to_string(init.pos.size()) +
+                   " positions but " + std::to_string(init.vel.size()) + " velocities");
   const std::size_t n = init.pos.size();
   const auto L = static_cast<std::int64_t>(spec.road_length);
 
   // cell[x] = car id occupying x, or -1.  Velocities are indexed by car.
+  // Every initial car is checked before it is written to the grid.
   std::vector<std::int32_t> cell(spec.road_length, -1);
   std::vector<int> vel(n);
   for (std::size_t i = 0; i < n; ++i) {
-    cell[static_cast<std::size_t>(init.pos[i])] = static_cast<std::int32_t>(i);
+    const std::int64_t x = init.pos[i];
+    PEACHY_CHECK(x >= 0 && x < L, "grid: car " + std::to_string(i) + " at " +
+                                      std::to_string(x) + " is off the road [0, " +
+                                      std::to_string(L) + ")");
+    const std::int32_t other = cell[static_cast<std::size_t>(x)];
+    PEACHY_CHECK(other < 0, "grid: cars " + std::to_string(other) + " and " +
+                                std::to_string(i) + " share cell " + std::to_string(x));
+    PEACHY_CHECK(init.vel[i] >= 0 && init.vel[i] <= spec.v_max,
+                 "grid: car " + std::to_string(i) + " has velocity " +
+                     std::to_string(init.vel[i]) + " outside [0, v_max]");
+    cell[static_cast<std::size_t>(x)] = static_cast<std::int32_t>(i);
     vel[i] = init.vel[i];
   }
 

@@ -22,4 +22,9 @@ namespace peachy::traffic {
 /// run_serial for the same spec.
 [[nodiscard]] State run_grid(const Spec& spec, std::size_t steps);
 
+/// Run `steps` steps from `init` instead of initial_state(spec); draws
+/// still go by position rank.  A car off the road, two cars in one cell,
+/// or a velocity outside [0, v_max] throws peachy::Error naming the car.
+[[nodiscard]] State run_grid(const Spec& spec, const State& init, std::size_t steps);
+
 }  // namespace peachy::traffic

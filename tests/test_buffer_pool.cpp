@@ -334,6 +334,11 @@ TEST(TransportChecker, DeadlockDetectionUnaffectedByMovedTraffic) {
 // an algorithm changed what it sends, not just how.
 
 TEST(TransportRegression, KmeansMpiTrafficCountsAreUnchanged) {
+  // Two allreduces per iteration (sums, then counts with the change count
+  // as element k).  This pin was re-taken on purpose when the separate
+  // change-count allreduce was folded into the counts one: 2(p-1) fewer
+  // messages per iteration, and the same bytes, since the 8-byte count
+  // moved from its own message into the counts message.
   peachy::data::BlobsSpec spec;
   spec.classes = 8;
   spec.points_per_class = 2000 / 8;
@@ -352,7 +357,7 @@ TEST(TransportRegression, KmeansMpiTrafficCountsAreUnchanged) {
   const struct {
     int ranks;
     std::uint64_t messages, bytes;
-  } expected[] = {{2, 37, 43568}, {4, 117, 82704}, {8, 301, 136976}};
+  } expected[] = {{2, 27, 43568}, {4, 87, 82704}, {8, 231, 136976}};
   for (const auto& e : expected) {
     const auto stats = pm::run(e.ranks, [&](pm::Comm& comm) {
       (void)peachy::kmeans::cluster_mpi(

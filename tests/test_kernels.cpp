@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "data/points.hpp"
@@ -319,6 +320,224 @@ TEST_P(KernelsArgmin, PaddingLanesNeverSelected) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothIsas, KernelsArgmin,
+                         ::testing::Values(pk::Isa::kScalar, pk::Isa::kAvx2),
+                         [](const ::testing::TestParamInfo<pk::Isa>& param_info) {
+                           return pk::isa_name(param_info.param);
+                         });
+
+// ---- two-point argmin over a row list (both paths) ---------------------------------
+//
+// Each case runs argmin2_rows three ways: the scalar twin, the dispatched
+// path under the parameter's ISA, and a test-local oracle that computes
+// every distance by the panel's ascending-j chain and then takes the
+// lowest-index minimum and the minimum of the rest (NaN as +inf).  All
+// three must agree on index, change count and the bits of both distances.
+
+namespace {
+
+struct Top2 {
+  std::int32_t index;
+  double best, second;
+};
+
+Top2 top2_oracle(const double* q, const std::vector<double>& cent, std::size_t k,
+                 std::size_t d) {
+  std::vector<double> d2(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    double acc = 0.0;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double diff = q[j] - cent[c * d + j];
+      acc += diff * diff;
+    }
+    d2[c] = std::isnan(acc) ? kInf : acc;
+  }
+  Top2 t{0, kInf, kInf};
+  for (std::size_t c = 0; c < k; ++c) {
+    if (d2[c] < t.best) {
+      t.best = d2[c];
+      t.index = static_cast<std::int32_t>(c);
+    }
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    if (c != static_cast<std::size_t>(t.index)) t.second = std::min(t.second, d2[c]);
+  }
+  return t;
+}
+
+/// Run one argmin2_rows case every way and compare.  `start` is the
+/// assignment before the call; listed rows may repeat.
+void expect_argmin2_agrees(pk::Isa isa, const std::vector<double>& pts,
+                           const std::vector<double>& cent, std::size_t k, std::size_t d,
+                           const std::vector<std::int32_t>& rows,
+                           const std::vector<std::int32_t>& start, const std::string& what) {
+  const auto panel = make_panel(cent, k, d);
+  const std::size_t n = start.size();
+  std::vector<std::int32_t> assign_r = start, assign_v = start;
+  std::vector<double> best_r(n, -1.0), second_r(n, -1.0), best_v(n, -1.0), second_v(n, -1.0);
+  const std::size_t changes_r =
+      pk::ref::argmin2_rows(pts.data(), rows.data(), rows.size(), d, panel.data(), k,
+                            panel.padded, assign_r.data(), best_r.data(), second_r.data());
+  std::size_t changes_v = 0;
+  {
+    pk::ScopedIsa pin{isa};
+    changes_v = pk::argmin2_rows(pts.data(), rows.data(), rows.size(), d, panel.data(), k,
+                                 panel.padded, assign_v.data(), best_v.data(), second_v.data());
+  }
+  EXPECT_EQ(changes_r, changes_v) << what;
+  EXPECT_EQ(assign_r, assign_v) << what;
+  std::vector<bool> listed(n, false);
+  for (const std::int32_t r : rows) listed[static_cast<std::size_t>(r)] = true;
+  std::size_t changes_want = 0;
+  std::vector<std::int32_t> assign_want = start;
+  for (const std::int32_t r : rows) {
+    const auto i = static_cast<std::size_t>(r);
+    const Top2 want = top2_oracle(pts.data() + i * d, cent, k, d);
+    if (assign_want[i] != want.index) ++changes_want;
+    assign_want[i] = want.index;
+    EXPECT_TRUE(bits_equal(best_r[i], want.best)) << what << " ref best, row " << i;
+    EXPECT_TRUE(bits_equal(second_r[i], want.second)) << what << " ref second, row " << i;
+    EXPECT_TRUE(bits_equal(best_v[i], want.best)) << what << " best, row " << i;
+    EXPECT_TRUE(bits_equal(second_v[i], want.second)) << what << " second, row " << i;
+  }
+  EXPECT_EQ(changes_r, changes_want) << what;
+  EXPECT_EQ(assign_r, assign_want) << what;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (listed[i]) continue;  // unlisted rows are left alone
+    EXPECT_EQ(best_v[i], -1.0) << what << " row " << i;
+    EXPECT_EQ(second_v[i], -1.0) << what << " row " << i;
+  }
+}
+
+}  // namespace
+
+class KernelsArgmin2 : public ::testing::TestWithParam<pk::Isa> {
+ protected:
+  void SetUp() override {
+    if (!pk::isa_available(GetParam())) GTEST_SKIP() << "isa unavailable";
+  }
+};
+
+TEST_P(KernelsArgmin2, MatchesTheOracleOverShapesAndRowLists) {
+  for (const std::size_t k : {1ul, 2ul, 3ul, 4ul, 5ul, 8ul, 9ul, 33ul}) {
+    for (const std::size_t d : {1ul, 2ul, 16ul, 32ul}) {
+      const auto cent_a = random_values(k * d, 101 * k + d);
+      const std::vector<double> cent(cent_a.begin(), cent_a.end());
+      // Random points, then one near each centroid so every lane of every
+      // group wins somewhere.
+      const std::size_t n = 23 + k;
+      auto pts_a = random_values(n * d, 103 * k + d);
+      std::vector<double> pts(pts_a.begin(), pts_a.end());
+      for (std::size_t c = 0; c < k; ++c) {
+        for (std::size_t j = 0; j < d; ++j) {
+          pts[(23 + c) * d + j] = cent[c * d + j] + 1e-3 * pts[(23 + c) * d + j];
+        }
+      }
+      // Every row, descending (unsorted); an odd list with repeats; a
+      // single row; the empty list.  Half the rows start on their answer.
+      std::vector<std::int32_t> start(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        start[i] = i % 2 == 0 ? top2_oracle(pts.data() + i * d, cent, k, d).index : -1;
+      }
+      std::vector<std::int32_t> all(n);
+      for (std::size_t i = 0; i < n; ++i) all[i] = static_cast<std::int32_t>(n - 1 - i);
+      const std::vector<std::int32_t> repeats = {3, 0, 3, 7, 7, 1, 5};
+      const std::string shape = "k=" + std::to_string(k) + " d=" + std::to_string(d);
+      expect_argmin2_agrees(GetParam(), pts, cent, k, d, all, start, shape + " all rows");
+      expect_argmin2_agrees(GetParam(), pts, cent, k, d, repeats, start, shape + " repeats");
+      expect_argmin2_agrees(GetParam(), pts, cent, k, d, {4}, start, shape + " one row");
+      expect_argmin2_agrees(GetParam(), pts, cent, k, d, {}, start, shape + " no rows");
+    }
+  }
+}
+
+TEST_P(KernelsArgmin2, TiesBreakToTheLowestIndexWithinAndAcrossLanesAndGroups) {
+  // k = 10 fills groups 0 and 1 and half of group 2.  Centroid pairs at
+  // the same spot: 1 and 5 share lane 1 (groups 0 and 1), 2 and 3 are
+  // neighbouring lanes of group 0, 6 and 9 differ in lane and group.
+  const std::size_t k = 10, d = 2;
+  std::vector<double> cent(k * d);
+  for (std::size_t c = 0; c < k; ++c) {
+    cent[c * d] = 10.0 * static_cast<double>(c);
+    cent[c * d + 1] = -3.0;
+  }
+  const auto place = [&](std::size_t c, double x, double y) {
+    cent[c * d] = x;
+    cent[c * d + 1] = y;
+  };
+  place(5, 10.0, -3.0);  // = centroid 1
+  place(3, 20.0, -3.0);  // = centroid 2
+  place(9, 60.0, -3.0);  // = centroid 6
+  // Points on each tied pair, and one exactly halfway between 0 and 1.
+  const std::vector<double> pts = {10.0, -3.0, 20.0, -3.0, 60.0, -3.0, 5.0, -3.0};
+  const std::vector<std::int32_t> rows = {0, 1, 2, 3};
+  expect_argmin2_agrees(GetParam(), pts, cent, k, d, rows, {-1, -1, -1, -1}, "ties");
+
+  const auto panel = make_panel(cent, k, d);
+  std::vector<std::int32_t> assign(4, -1);
+  std::vector<double> best(4), second(4);
+  pk::ScopedIsa pin{GetParam()};
+  EXPECT_EQ(pk::argmin2_rows(pts.data(), rows.data(), 4, d, panel.data(), k, panel.padded,
+                             assign.data(), best.data(), second.data()),
+            4u);
+  EXPECT_EQ(assign, (std::vector<std::int32_t>{1, 2, 6, 0}));
+  EXPECT_EQ(best, (std::vector<double>{0.0, 0.0, 0.0, 25.0}));
+  EXPECT_EQ(second, best) << "a tie for best leaves the runner-up equal to it";
+}
+
+TEST_P(KernelsArgmin2, NanAndInfinityNeverWinAndAnAllNanRowIsIndexZero) {
+  const std::size_t k = 6, d = 3;
+  std::vector<double> cent = {
+      kNan, 0.0,  0.0,    // 0: NaN coordinate
+      kInf, 0.0,  0.0,    // 1: +inf coordinate
+      5.0,  5.0,  5.0,    // 2
+      -kInf, 1.0, 1.0,    // 3: -inf coordinate
+      4.0,  4.0,  4.0,    // 4
+      1e300, 1e300, 1e300,  // 5: overflows to +inf
+  };
+  const std::vector<double> pts = {
+      0.0,  0.0,  0.0,   // row 0: nearest 4, then 2
+      kNan, 1.0,  1.0,   // row 1: every distance NaN
+      kInf, 0.0,  0.0,   // row 2: inf - inf = NaN against centroid 1
+      -kInf, 0.0, 0.0,   // row 3: +inf or NaN everywhere
+  };
+  expect_argmin2_agrees(GetParam(), pts, cent, k, d, {0, 1, 2, 3}, {-1, -1, -1, -1},
+                        "nan/inf");
+  const auto panel = make_panel(cent, k, d);
+  std::vector<std::int32_t> assign(4, 9);
+  std::vector<double> best(4), second(4);
+  const std::vector<std::int32_t> rows = {0, 1, 3};
+  pk::ScopedIsa pin{GetParam()};
+  EXPECT_EQ(pk::argmin2_rows(pts.data(), rows.data(), 3, d, panel.data(), k, panel.padded,
+                             assign.data(), best.data(), second.data()),
+            3u);
+  EXPECT_EQ(assign[0], 4);
+  EXPECT_EQ(best[0], 48.0);
+  EXPECT_EQ(second[0], 75.0);
+  EXPECT_EQ(assign[1], 0) << "all-NaN row";
+  EXPECT_EQ(best[1], kInf);
+  EXPECT_EQ(second[1], kInf);
+  EXPECT_EQ(assign[3], 0) << "no finite distance";
+  EXPECT_EQ(best[3], kInf);
+  EXPECT_EQ(second[3], kInf);
+}
+
+TEST_P(KernelsArgmin2, OneCentroidHasAnInfiniteRunnerUp) {
+  const std::vector<double> cent = {1.0, 2.0};
+  const std::vector<double> pts = {4.0, 6.0, 1.0, 2.0, -1.0, 0.0};
+  expect_argmin2_agrees(GetParam(), pts, cent, 1, 2, {2, 0, 1}, {0, -1, 0}, "k=1");
+  const auto panel = make_panel(cent, 1, 2);
+  std::vector<std::int32_t> assign = {0, -1, 0};
+  std::vector<double> best(3), second(3);
+  const std::vector<std::int32_t> rows = {2, 0, 1};
+  pk::ScopedIsa pin{GetParam()};
+  EXPECT_EQ(pk::argmin2_rows(pts.data(), rows.data(), 3, 2, panel.data(), 1, panel.padded,
+                             assign.data(), best.data(), second.data()),
+            1u);
+  EXPECT_EQ(best, (std::vector<double>{25.0, 0.0, 8.0}));
+  EXPECT_EQ(second, (std::vector<double>{kInf, kInf, kInf}));
+}
+
+INSTANTIATE_TEST_SUITE_P(BothIsas, KernelsArgmin2,
                          ::testing::Values(pk::Isa::kScalar, pk::Isa::kAvx2),
                          [](const ::testing::TestParamInfo<pk::Isa>& param_info) {
                            return pk::isa_name(param_info.param);

@@ -12,12 +12,16 @@
 #include <numeric>
 #include <ostream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/points.hpp"
 #include "faults/checkpoint.hpp"
 #include "kmeans/kmeans.hpp"
 #include "kmeans/mpi_kmeans.hpp"
 #include "kmeans/simt_kmeans.hpp"
+#include "kernels/kernels.hpp"
+#include "obs/obs.hpp"
 #include "support/check.hpp"
 
 namespace km = peachy::kmeans;
@@ -359,6 +363,178 @@ TEST(KmeansMpiRestart, ResumesFromAMidRunSnapshotAtMoreRanks) {
   const auto& b = whole.centroids.values();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9) << "coord " << i;
+}
+
+// ---- the bounded distributed assignment against the unbounded oracle -------------------
+//
+// cluster_mpi rescans only the points its Hamerly bounds cannot clear;
+// cluster_sequential scans every point with argmin_assign.  Every case
+// must agree on the assignment, the changes of every iteration, the
+// iteration count and the reason for stopping.  The kmeans.points_*
+// counters show that the bounds did skip work, so agreement is not won by
+// scanning everything.
+
+namespace {
+
+/// Check one bounded run against the oracle; returns the points it skipped.
+std::int64_t expect_bounded_matches_sequential(const pd::PointSet& points,
+                                               const km::Options& opts, int p,
+                                               const std::string& what) {
+  const km::Result want = km::cluster_sequential(points, opts);
+  std::vector<km::Result> got(static_cast<std::size_t>(p));
+  peachy::obs::reset();
+  peachy::obs::enable();
+  pm::run(p, [&](pm::Comm& comm) {
+    got[static_cast<std::size_t>(comm.rank())] =
+        km::cluster_mpi(comm, comm.rank() == 0 ? points : pd::PointSet{}, opts);
+  });
+  peachy::obs::disable();
+  const std::int64_t scanned = peachy::obs::counter_value("kmeans.points_scanned");
+  const std::int64_t skipped = peachy::obs::counter_value("kmeans.points_skipped");
+  peachy::obs::reset();
+  // Every rank counts its own block once per iteration.
+  EXPECT_EQ(static_cast<std::size_t>(scanned + skipped), points.size() * want.iterations)
+      << what;
+  for (int r = 0; r < p; ++r) {
+    const km::Result& res = got[static_cast<std::size_t>(r)];
+    EXPECT_EQ(res.assignment, want.assignment) << what << " rank " << r;
+    EXPECT_EQ(res.changes_per_iteration, want.changes_per_iteration) << what << " rank " << r;
+    EXPECT_EQ(res.iterations, want.iterations) << what << " rank " << r;
+    EXPECT_EQ(res.termination, want.termination) << what << " rank " << r;
+  }
+  return skipped;
+}
+
+km::Options long_run_opts(std::size_t k, std::uint64_t seed) {
+  km::Options opts;
+  opts.k = k;
+  opts.max_iterations = 40;
+  opts.min_changes = 0;
+  opts.move_tolerance = 0.0;
+  opts.seed = seed;
+  return opts;
+}
+
+/// Points on the 5×5 integer lattice, site (x, y) repeated 1 + (x·y) mod 3
+/// times: duplicates everywhere, and centroids that are means of lattice
+/// points, so distances tie exactly.
+pd::PointSet lattice() {
+  pd::PointSet pts;
+  for (int x = 0; x < 5; ++x) {
+    for (int y = 0; y < 5; ++y) {
+      for (int rep = 0; rep <= (x * y) % 3; ++rep) {
+        const std::vector<double> p = {static_cast<double>(x), static_cast<double>(y)};
+        pts.push_back(p);
+      }
+    }
+  }
+  return pts;
+}
+
+/// Points whose best and second-best centroid distances are equal.
+std::size_t exact_ties(const pd::PointSet& points, const pd::PointSet& centroids) {
+  const auto panel = centroids.transposed_panel();
+  const std::size_t n = points.size();
+  std::vector<std::int32_t> rows(n), assign(n, -1);
+  std::iota(rows.begin(), rows.end(), 0);
+  std::vector<double> best(n), second(n);
+  (void)peachy::kernels::ref::argmin2_rows(points.values().data(), rows.data(), n,
+                                           points.dims(), panel.data(), panel.count,
+                                           panel.padded, assign.data(), best.data(),
+                                           second.data());
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < n; ++i) ties += best[i] == second[i] ? 1 : 0;
+  return ties;
+}
+
+}  // namespace
+
+TEST(KmeansBounded, MatchesSequentialOverSeedsAndRankCounts) {
+  std::int64_t skipped = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto points = blobs(50, 5, 3, 3.0, seed);
+    for (const int p : {1, 3, 4}) {
+      skipped += expect_bounded_matches_sequential(
+          points, long_run_opts(6, seed), p,
+          "seed " + std::to_string(seed) + " p=" + std::to_string(p));
+    }
+  }
+  EXPECT_GT(skipped, 0) << "the bounds never cleared a point";
+}
+
+TEST(KmeansBounded, AnExactTieMadeByACentroidMoveIsRescanned) {
+  // On a line: centroid 0 starts at -3 and centroid 1 at 2.  Iteration 1
+  // puts the point at 0 in cluster 1, at distances 2 (own) and 3 (other).
+  // Then cluster 0 = {-3, -1} moves by 1 to -2, straight at the point, and
+  // cluster 1 = {0, 2, 4} stays at 2.  The bounds become upper = 2 and
+  // lower = 3 - 1 = 2, exactly tight, and so is the tie: the point is 2
+  // from both centroids, and the lowest index takes it.  A rule that
+  // skipped on upper <= lower would leave it in cluster 1.
+  pd::PointSet points;
+  for (const double x : {-3.0, -1.0, 0.0, 2.0, 4.0}) points.push_back(std::vector<double>{x});
+  km::Options opts = long_run_opts(2, 9);
+  const auto init = km::initial_centroids(points, opts);
+  ASSERT_EQ(init.at(0, 0), -3.0) << "seed 9 no longer draws the designed start";
+  ASSERT_EQ(init.at(1, 0), 2.0) << "seed 9 no longer draws the designed start";
+  const km::Result want = km::cluster_sequential(points, opts);
+  ASSERT_EQ(want.changes_per_iteration, (std::vector<std::size_t>{5, 1, 0}));
+  ASSERT_EQ(want.assignment, (std::vector<std::int32_t>{0, 0, 0, 1, 1}));
+  for (const int p : {1, 2}) {
+    expect_bounded_matches_sequential(points, opts, p, "tie p=" + std::to_string(p));
+  }
+}
+
+TEST(KmeansBounded, DuplicatePointsExactTiesAndEmptyClustersMatchSequential) {
+  const auto points = lattice();
+  std::size_t late_ties = 0, empty_starts = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const km::Options opts = long_run_opts(5, seed);
+    expect_bounded_matches_sequential(points, opts, 3, "lattice seed " + std::to_string(seed));
+    // Coverage: exact ties at iterations after the first (those are the
+    // ones a skip could get wrong), and duplicate initial centroids, whose
+    // higher-index copy ends iteration 1 with an empty cluster.
+    const km::Result run = km::cluster_sequential(points, opts);
+    for (std::size_t it = 1; it < run.iterations; ++it) {
+      km::Options upto = opts;
+      upto.max_iterations = it;
+      late_ties += exact_ties(points, km::cluster_sequential(points, upto).centroids);
+    }
+    const auto init = km::initial_centroids(points, opts);
+    std::set<std::vector<double>> sites;
+    for (std::size_t c = 0; c < init.size(); ++c) {
+      sites.insert({init.point(c).begin(), init.point(c).end()});
+    }
+    empty_starts += sites.size() < init.size() ? 1 : 0;
+  }
+  EXPECT_GT(late_ties, 0u);
+  EXPECT_GT(empty_starts, 0u);
+}
+
+TEST(KmeansBounded, OneClusterAndThirtyThreeClustersMatchSequential) {
+  const auto points = blobs(40, 11, 4, 2.0, 41);
+  for (const std::size_t k : {1ul, 33ul}) {
+    for (const int p : {1, 4}) {
+      expect_bounded_matches_sequential(points, long_run_opts(k, 7), p,
+                                        "k=" + std::to_string(k) + " p=" + std::to_string(p));
+    }
+  }
+}
+
+TEST(KmeansBounded, ResumesMidRunAtFewerRanksWithFreshBounds) {
+  const auto points = blobs(60, 5, 3, 3.0, 13);
+  const km::Options opts = long_run_opts(6, 13);
+  const km::Result want = km::cluster_sequential(points, opts);
+  ASSERT_GT(want.iterations, 6u) << "the run must outlive the kept snapshot";
+
+  RecordingStore store{/*keep_through=*/5};  // keeps iteration 4's snapshot
+  const km::Result whole = run_ft(4, points, opts, store);
+  expect_same_run(whole, want);
+
+  store.saved.clear();
+  const km::Result resumed = run_ft(3, points, opts, store);
+  ASSERT_FALSE(store.saved.empty());
+  EXPECT_EQ(store.saved.front(), 6u) << "the rerun must resume at iteration 5";
+  expect_same_run(resumed, want);
 }
 
 // ---- SIMT ---------------------------------------------------------------------------------

@@ -338,6 +338,42 @@ TEST(Grid, HighDensityStillMatches) {
   EXPECT_EQ(tr::run_grid(spec, 80), tr::run_serial(spec, 80));
 }
 
+TEST(Grid, StartsFromAGivenStateAsFromTheSpecsOwn) {
+  tr::Spec spec = fig3_spec();
+  spec.road_length = 120;
+  spec.cars = 40;
+  EXPECT_EQ(tr::run_grid(spec, tr::initial_state(spec), 30), tr::run_grid(spec, 30));
+}
+
+namespace {
+
+/// run_grid from `init` on a 10-cell road must throw a peachy::Error
+/// whose message contains `want`.
+void expect_grid_rejects(const tr::State& init, const std::string& want) {
+  tr::Spec spec = fig3_spec();
+  spec.road_length = 10;
+  spec.cars = init.pos.size();
+  try {
+    (void)tr::run_grid(spec, init, 3);
+    FAIL() << "run_grid accepted a bad initial state; expected: " << want;
+  } catch (const peachy::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(want), std::string::npos) << what;
+  }
+}
+
+}  // namespace
+
+TEST(Grid, AnOffRoadOrSharedCellOrBadVelocityIsANamedError) {
+  expect_grid_rejects({{2, 10}, {0, 0}}, "grid: car 1 at 10 is off the road [0, 10)");
+  expect_grid_rejects({{-1, 4}, {0, 0}}, "grid: car 0 at -1 is off the road [0, 10)");
+  expect_grid_rejects({{1 << 30}, {0}}, "grid: car 0 at 1073741824 is off the road");
+  expect_grid_rejects({{3, 5, 3}, {0, 0, 0}}, "grid: cars 0 and 2 share cell 3");
+  expect_grid_rejects({{3, 5}, {0, 6}}, "grid: car 1 has velocity 6 outside [0, v_max]");
+  expect_grid_rejects({{3, 5}, {-1, 0}}, "grid: car 0 has velocity -1 outside [0, v_max]");
+  expect_grid_rejects({{3, 5}, {0}}, "grid: initial state has 2 positions but 1 velocities");
+}
+
 // ---- diagrams & measurements ---------------------------------------------------------------
 
 TEST(Diagram, AsciiShapeAndMarkers) {
